@@ -12,7 +12,8 @@ use lahd_core::{
 use lahd_fsm::{DefaultPolicy, HandcraftedFsm, Policy, VecPolicy};
 use lahd_serve::{
     persist, prepare_corrupt_candidate, run_bench, run_restart_drill, run_streams_sweep, serve_dir,
-    BenchConfig, ChaosPlan, DrillConfig, Request, ServeClient, ServeConfig, REC_BYTES,
+    BenchConfig, ChaosPlan, DrillConfig, HostedDaemon, Request, ServeClient, ServeConfig,
+    REC_BYTES,
 };
 use lahd_sim::{DiskFault, Fault, FaultPlan, SimConfig, StorageSim};
 use lahd_workload::{
@@ -99,7 +100,7 @@ fn usage() -> String {
      \x20 serve-bench deterministic load + chaos harness for the daemon\n\
      \x20            --artifacts DIR [--socket FILE (external daemon)]\n\
      \x20            [--streams N] [--rounds N] [--requests N] [--rate R]\n\
-     \x20            [--deadline-us N] [--bench-seed N] [--chaos]\n\
+     \x20            [--bench-seed N] [--chaos]\n\
      \x20            [--streams-sweep N,N,… (memory-scaling sweep)]\n\
      \x20            [--json FILE] [--bench-json FILE] [--shutdown-daemon]\n\
      \x20            [--scale …]\n\
@@ -121,6 +122,19 @@ fn usage() -> String {
      \x20 help       this message\n"
         .to_string()
 }
+
+/// Every flag [`scale_config`] reads. A `lahd serve` child must be given
+/// all of them to rebuild the configuration its artifacts were trained
+/// under.
+const SCALE_FLAGS: [&str; 7] = [
+    "scale",
+    "scenario",
+    "infer-precision",
+    "hidden",
+    "std-epochs",
+    "real-epochs",
+    "seed",
+];
 
 fn scale_config(args: &Args) -> Result<PipelineConfig, CliError> {
     let mut cfg = match args.get("scale").unwrap_or("demo") {
@@ -470,7 +484,6 @@ fn serve_config(args: &Args) -> ServeConfig {
         state_dir: args.get("state-dir").map(PathBuf::from),
         checkpoint_every: args.get_u64("checkpoint-every", d.checkpoint_every),
         recover: args.has_flag("recover"),
-        ..d
     }
 }
 
@@ -568,7 +581,6 @@ fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         rounds: args.get_u64("rounds", defaults.rounds),
         requests: args.get_u64("requests", defaults.requests),
         rate: args.get_f64("rate", defaults.rate),
-        deadline_us: args.get_u64("deadline-us", defaults.deadline_us),
         seed: args.get_u64("bench-seed", defaults.seed),
         chaos: None,
     };
@@ -591,7 +603,7 @@ fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     // --socket points the harness at an external daemon; otherwise a
     // daemon is self-hosted for the duration of the run (with chaos
     // injection enabled iff the plan needs it).
-    let (socket, handle) = match args.get("socket") {
+    let (socket, hosted) = match args.get("socket") {
         Some(path) => (PathBuf::from(path), None),
         None => {
             let socket =
@@ -600,16 +612,14 @@ fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
                 allow_chaos: with_chaos,
                 ..serve_config(args)
             };
-            let handle = serve_dir(&cfg, &dir, serve_cfg, &socket).map_err(err)?;
-            (socket, Some(handle))
+            let daemon = HostedDaemon::in_process(&cfg, &dir, serve_cfg, &socket).map_err(err)?;
+            (socket, Some(daemon))
         }
     };
 
     let result = run_bench(&socket, &dir, &bench);
-    if let Some(handle) = handle {
-        let mut client = ServeClient::connect_retry(&socket, std::time::Duration::from_secs(5))?;
-        client.call(&Request::Shutdown)?;
-        handle.wait();
+    if let Some(daemon) = hosted {
+        daemon.shutdown().map_err(err)?;
     } else if args.has_flag("shutdown-daemon") {
         // Ask the external daemon to exit once the run is over (CI smoke
         // gates wait on its process and assert a clean exit).
@@ -747,15 +757,16 @@ fn cmd_serve_drill(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     fs::create_dir_all(&work)?;
 
     // The child daemons re-parse the artifact configuration, so every
-    // identity flag is forwarded verbatim. Audits stay off: resident
-    // ladders are not persisted, and the drill pins bit-identical resume.
+    // flag it is parsed from is forwarded verbatim. Audits stay off:
+    // resident ladders are not persisted, and the drill pins bit-identical
+    // resume.
     let mut serve_args: Vec<String> = vec![
         "--artifacts".into(),
         dir.display().to_string(),
         "--audit-every".into(),
         "0".into(),
     ];
-    for flag in ["scale", "scenario", "infer-precision", "shards"] {
+    for flag in SCALE_FLAGS.iter().chain(&["shards"]) {
         if let Some(v) = args.get(flag) {
             serve_args.push(format!("--{flag}"));
             serve_args.push(v.to_string());
@@ -803,14 +814,16 @@ fn cmd_serve_drill(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     } else {
         if !outcome.all_good() {
             return Err(err(format!(
-                "clean drill FAILED: resumed_pct={} lockstep={} clean_exit={}",
-                outcome.resumed_pct, outcome.lockstep, outcome.clean_exit
+                "clean drill FAILED: resumed_pct={} lockstep={} distinct_actions={} \
+                 clean_exit={} (want >=99, true, >=2, true)",
+                outcome.resumed_pct, outcome.lockstep, outcome.distinct_actions, outcome.clean_exit
             )));
         }
         writeln!(
             out,
-            "clean drill SURVIVED: resumed {}/{} streams, action checksums identical",
-            outcome.recovered, outcome.admitted
+            "clean drill SURVIVED: resumed {}/{} streams, action checksums identical \
+             over {} distinct actions",
+            outcome.recovered, outcome.admitted, outcome.distinct_actions
         )?;
     }
     Ok(())

@@ -10,6 +10,14 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::{Duration, Instant};
+
+use lahd_serve::HostedDaemon;
+
+/// Tiny artifacts from seed 22: unlike the `tiny()` default's one-action
+/// machine, it answers at least two distinct actions in the drill window,
+/// so the lockstep pin can fail.
+const SMOKE: [&str; 4] = ["--scale", "tiny", "--seed", "22"];
 
 fn exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_lahd"))
@@ -22,27 +30,50 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn run_drill(artifacts: &PathBuf, work: &PathBuf, json: &PathBuf, corrupt: bool) -> (bool, String) {
+/// Trains artifacts under `flags` into a fresh directory.
+fn train(name: &str, flags: &[&str]) -> PathBuf {
+    let artifacts = fresh_dir(name);
+    let trained = Command::new(exe())
+        .arg("pipeline")
+        .args(flags)
+        .arg("--out")
+        .arg(&artifacts)
+        .output()
+        .expect("spawn lahd pipeline");
+    assert!(
+        trained.status.success(),
+        "pipeline failed: {}",
+        String::from_utf8_lossy(&trained.stderr)
+    );
+    artifacts
+}
+
+fn run_drill(
+    flags: &[&str],
+    artifacts: &PathBuf,
+    work: &PathBuf,
+    json: &PathBuf,
+    corrupt: bool,
+) -> (bool, String) {
     let mut cmd = Command::new(exe());
-    cmd.args([
-        "serve-drill",
-        "--scale",
-        "tiny",
-        "--streams",
-        "16",
-        "--rounds-before",
-        "4",
-        "--rounds-after",
-        "4",
-        "--shards",
-        "2",
-    ])
-    .arg("--artifacts")
-    .arg(artifacts)
-    .arg("--work-dir")
-    .arg(work)
-    .arg("--json")
-    .arg(json);
+    cmd.arg("serve-drill")
+        .args(flags)
+        .args([
+            "--streams",
+            "16",
+            "--rounds-before",
+            "4",
+            "--rounds-after",
+            "4",
+            "--shards",
+            "2",
+        ])
+        .arg("--artifacts")
+        .arg(artifacts)
+        .arg("--work-dir")
+        .arg(work)
+        .arg("--json")
+        .arg(json);
     if corrupt {
         cmd.arg("--corrupt");
     }
@@ -55,19 +86,23 @@ fn run_drill(artifacts: &PathBuf, work: &PathBuf, json: &PathBuf, corrupt: bool)
     (out.status.success(), text)
 }
 
+/// The `"distinct_actions"` field of a drill summary.
+fn distinct_actions(summary: &str) -> u64 {
+    let at = summary
+        .find("\"distinct_actions\":")
+        .expect("field present")
+        + 19;
+    summary[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn sigkill_recovery_drill_end_to_end() {
-    let artifacts = fresh_dir("artifacts");
-    let trained = Command::new(exe())
-        .args(["pipeline", "--scale", "tiny", "--out"])
-        .arg(&artifacts)
-        .output()
-        .expect("spawn lahd pipeline");
-    assert!(
-        trained.status.success(),
-        "pipeline failed: {}",
-        String::from_utf8_lossy(&trained.stderr)
-    );
+    let artifacts = train("artifacts", &SMOKE);
 
     // Clean drill, twice: it must pass its gate and its JSON summary must
     // be byte-reproducible across runs.
@@ -75,7 +110,7 @@ fn sigkill_recovery_drill_end_to_end() {
     for run in 0..2 {
         let work = fresh_dir(&format!("clean-{run}"));
         let json = work.join("outcome.json");
-        let (ok, text) = run_drill(&artifacts, &work, &json, false);
+        let (ok, text) = run_drill(&SMOKE, &artifacts, &work, &json, false);
         assert!(ok, "clean drill {run} failed:\n{text}");
         assert!(text.contains("clean drill SURVIVED"), "{text}");
         summaries.push(std::fs::read_to_string(&json).unwrap());
@@ -92,12 +127,13 @@ fn sigkill_recovery_drill_end_to_end() {
         "{}",
         summaries[0]
     );
+    assert!(distinct_actions(&summaries[0]) >= 2, "{}", summaries[0]);
 
     // Corrupt drill: seeded disk faults land between kill and restart;
     // recovery must quarantine the damaged records and exit cleanly.
     let work = fresh_dir("corrupt");
     let json = work.join("outcome.json");
-    let (ok, text) = run_drill(&artifacts, &work, &json, true);
+    let (ok, text) = run_drill(&SMOKE, &artifacts, &work, &json, true);
     assert!(ok, "corrupt drill failed:\n{text}");
     assert!(text.contains("corrupt drill SURVIVED"), "{text}");
     let summary = std::fs::read_to_string(&json).unwrap();
@@ -110,4 +146,38 @@ fn sigkill_recovery_drill_end_to_end() {
         "fault description missing: {summary}"
     );
     assert!(summary.contains("\"clean_exit\":true"), "{summary}");
+}
+
+#[test]
+fn drill_children_get_every_scale_flag() {
+    // A non-default hidden width changes the artifacts' tensor shapes, so
+    // a child daemon not given `--hidden` rejects them. Seed 10, because
+    // at this width seed 22's machine answers one action in the window.
+    let flags = ["--scale", "tiny", "--hidden", "16", "--seed", "10"];
+    let artifacts = train("hidden16", &flags);
+    let work = fresh_dir("hidden16-drill");
+    let json = work.join("outcome.json");
+    let (ok, text) = run_drill(&flags, &artifacts, &work, &json, false);
+    assert!(ok, "hidden-16 drill failed:\n{text}");
+    assert!(text.contains("clean drill SURVIVED"), "{text}");
+}
+
+#[test]
+fn child_that_exits_before_binding_is_reported_with_its_stderr() {
+    let empty = fresh_dir("no-artifacts");
+    let socket = empty.join("daemon.sock");
+    let args = ["--scale", "tiny", "--artifacts", empty.to_str().unwrap()].map(String::from);
+    let started = Instant::now();
+    let err = HostedDaemon::spawn(&exe(), &args, &socket)
+        .err()
+        .expect("a daemon without artifacts must not start");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "took {:?} to notice the child had exited",
+        started.elapsed()
+    );
+    assert!(
+        err.contains("before binding") && err.contains("artifact validation failed"),
+        "{err}"
+    );
 }

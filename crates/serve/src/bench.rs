@@ -1,4 +1,5 @@
-//! The deterministic load + chaos harness behind `lahd serve-bench`.
+//! The deterministic load + chaos harness behind `lahd serve-bench`, the
+//! streams sweep, and the crash-restart drill behind `lahd serve-drill`.
 //!
 //! Two phases against a running daemon:
 //!
@@ -18,20 +19,33 @@
 //!    histogram. Reported decisions/sec and p50/p99/p999 feed the bench
 //!    snapshot rows (`serve_throughput/…`, `serve_latency/…`).
 //!
+//! Every one-decision-per-stream round — the chaos phase's ordinary
+//! rounds, the sweep's warm and timed rounds, the drill's windows — goes
+//! through one function, [`lockstep_round`]; only the chaos burst round is
+//! bespoke. Every daemon a harness hosts itself is a [`HostedDaemon`],
+//! in-process or as a `lahd serve` child. A checksummed window also
+//! reports how many distinct actions it held: a window answering one
+//! action everywhere would checksum the same for a daemon that lost every
+//! cursor, so the pins require at least two.
+//!
 //! Observations are synthesised per `(stream, round)` from the artifact
 //! directory's `baseline.profile` (uniform inside each dimension's
 //! interquartile band), so the traffic looks healthy to the guards and is
 //! a pure function of the bench seed.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use lahd_core::PipelineConfig;
 use lahd_guard::BaselineProfile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::client::ServeClient;
+use crate::daemon::{serve_dir, shard_of, ServeConfig, ServeHandle};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot};
 use crate::persist;
 use crate::protocol::{Request, Response, Source};
@@ -101,8 +115,6 @@ pub struct BenchConfig {
     pub requests: u64,
     /// Open-loop target rate, requests/second (0 = maximum).
     pub rate: f64,
-    /// Per-request deadline in the perf phase, microseconds (0 = none).
-    pub deadline_us: u64,
     /// Seed for observation synthesis.
     pub seed: u64,
     /// Optional chaos plan for the lockstep phase.
@@ -116,7 +128,6 @@ impl Default for BenchConfig {
             rounds: 40,
             requests: 2000,
             rate: 0.0,
-            deadline_us: 0,
             seed: 7,
             chaos: None,
         }
@@ -142,6 +153,10 @@ pub struct ChaosOutcome {
     pub responses: u64,
     /// FNV-1a over every pre-chaos `(round, stream, action)` triple.
     pub prechaos_checksum: u64,
+    /// Distinct actions among those pre-chaos answers; below 2 the
+    /// checksum cannot tell a working daemon from one that lost every
+    /// cursor.
+    pub prechaos_distinct_actions: u64,
     /// The daemon still answered a stats request after the phase.
     pub daemon_alive: bool,
     /// The killed shard's worker restarted and served guarded decisions
@@ -166,6 +181,7 @@ impl ChaosOutcome {
             concat!(
                 "{{\"seed\":{},\"streams\":{},\"rounds\":{},\"plan\":\"{}\",",
                 "\"requests\":{},\"responses\":{},\"prechaos_checksum\":\"{:#018x}\",",
+                "\"prechaos_distinct_actions\":{},",
                 "\"daemon_alive\":{},\"shard_recovered\":{},\"reload_rejected\":{},",
                 "\"generation_unchanged\":{},\"shed_observed\":{},\"deadline_fallback\":{}}}"
             ),
@@ -176,6 +192,7 @@ impl ChaosOutcome {
             self.requests,
             self.responses,
             self.prechaos_checksum,
+            self.prechaos_distinct_actions,
             self.daemon_alive,
             self.shard_recovered,
             self.reload_rejected,
@@ -400,58 +417,234 @@ impl StreamsSweep {
     }
 }
 
-/// Drives one closed-loop round: one decision per stream, at most `window`
-/// outstanding (backpressure instead of queue sheds). Returns the round's
-/// wall time and how many answers came back shed-labelled.
-fn closed_loop_round(
+/// How long a spawned daemon may take to bind its socket.
+const BIND_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A daemon a harness hosts for the length of a run, in one of two forms:
+/// in-process ([`serve_dir`] threads — what the sweep's allocator
+/// measurement needs) or a `lahd serve` child process (what a real SIGKILL
+/// needs). Dropping it stops the daemon: a child is SIGKILLed and reaped,
+/// an in-process daemon is told to shut down and joined.
+pub struct HostedDaemon {
+    socket: PathBuf,
+    host: Host,
+}
+
+enum Host {
+    InProcess(Option<ServeHandle>),
+    Child(Child),
+}
+
+impl HostedDaemon {
+    /// Loads the bundle in `artifacts` and serves it from this process.
+    pub fn in_process(
+        pipeline_cfg: &PipelineConfig,
+        artifacts: &Path,
+        cfg: ServeConfig,
+        socket: &Path,
+    ) -> Result<Self, String> {
+        let handle = serve_dir(pipeline_cfg, artifacts, cfg, socket)?;
+        Ok(Self {
+            socket: socket.to_path_buf(),
+            host: Host::InProcess(Some(handle)),
+        })
+    }
+
+    /// Spawns `<exe> serve <serve_args> --socket <socket>` and returns once
+    /// the child accepts connections. The child's stderr is written beside
+    /// the socket (extension `stderr`); a child that exits before binding
+    /// is reported at once, with that stderr.
+    pub fn spawn(exe: &Path, serve_args: &[String], socket: &Path) -> Result<Self, String> {
+        let stderr_path = socket.with_extension("stderr");
+        let stderr = std::fs::File::create(&stderr_path)
+            .map_err(|e| format!("create {} failed: {e}", stderr_path.display()))?;
+        let mut child = Command::new(exe)
+            .arg("serve")
+            .args(serve_args)
+            .arg("--socket")
+            .arg(socket)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(stderr)
+            .spawn()
+            .map_err(|e| format!("failed to spawn {}: {e}", exe.display()))?;
+        let deadline = Instant::now() + BIND_TIMEOUT;
+        while UnixStream::connect(socket).is_err() {
+            let failure = match child.try_wait() {
+                Ok(Some(status)) => Some(format!(
+                    "daemon exited ({status}) before binding {}: {}",
+                    socket.display(),
+                    std::fs::read_to_string(&stderr_path)
+                        .unwrap_or_default()
+                        .trim()
+                )),
+                Ok(None) if Instant::now() >= deadline => Some(format!(
+                    "daemon did not bind {} within {BIND_TIMEOUT:?}",
+                    socket.display()
+                )),
+                Ok(None) => None,
+                Err(e) => Some(format!("wait failed: {e}")),
+            };
+            if let Some(failure) = failure {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(failure);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        Ok(Self {
+            socket: socket.to_path_buf(),
+            host: Host::Child(child),
+        })
+    }
+
+    /// A fresh connection to the daemon.
+    pub fn connect(&self) -> Result<ServeClient, String> {
+        ServeClient::connect(&self.socket)
+            .map_err(|e| format!("connect to {} failed: {e}", self.socket.display()))
+    }
+
+    /// The daemon's counters, read over a fresh connection.
+    pub fn stats(&self) -> Result<MetricsSnapshot, String> {
+        stats(&mut self.connect()?)
+    }
+
+    /// Asks the daemon to drain and exit, then waits for it. Returns
+    /// whether it exited cleanly: a child's exit status, or `true` once an
+    /// in-process daemon's threads have joined.
+    pub fn shutdown(mut self) -> Result<bool, String> {
+        match self.connect()?.call(&Request::Shutdown) {
+            Ok(Response::Ok) => {}
+            Ok(other) => return Err(format!("unexpected shutdown response {other:?}")),
+            Err(e) => return Err(format!("shutdown request failed: {e}")),
+        }
+        match &mut self.host {
+            Host::InProcess(handle) => {
+                if let Some(handle) = handle.take() {
+                    handle.wait();
+                }
+                Ok(true)
+            }
+            Host::Child(child) => child
+                .wait()
+                .map(|status| status.success())
+                .map_err(|e| format!("wait failed: {e}")),
+        }
+    }
+}
+
+impl Drop for HostedDaemon {
+    fn drop(&mut self) {
+        match &mut self.host {
+            Host::InProcess(handle) => {
+                if let Some(handle) = handle.take() {
+                    handle.shutdown();
+                    handle.wait();
+                }
+            }
+            Host::Child(child) => {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+        }
+    }
+}
+
+/// The one lockstep round: sends one [`Request::Decide`] per stream
+/// `0..streams` for `round` (observations from the harness's synthesiser),
+/// keeping at most `window` requests outstanding, and returns each
+/// stream's `(action, tier, source)` in stream order. A `window` of at
+/// least `streams` sends the whole round before reading; a smaller one
+/// trades queue sheds for backpressure.
+pub fn lockstep_round(
     client: &mut ServeClient,
     profile: &BaselineProfile,
     seed: u64,
     streams: u64,
     round: u64,
     window: u64,
-) -> Result<(Duration, u64), String> {
-    let base = 1u64 << 61;
-    let start = Instant::now();
-    let mut sent = 0u64;
-    let mut received = 0u64;
-    let mut shed = 0u64;
+) -> Result<Vec<(u16, u8, u8)>, String> {
+    // Request ids carry the round above the stream index, so a reply that
+    // does not belong to this round cannot be mistaken for one that does.
+    let tag = round << 32;
+    let mut answers = vec![None; streams as usize];
+    let (mut sent, mut received) = (0u64, 0u64);
     while received < streams {
         while sent < streams && sent - received < window {
             client
                 .send(&Request::Decide {
-                    req_id: base | (round << 40) | sent,
+                    req_id: tag | sent,
                     stream: sent,
                     deadline_us: 0,
                     obs: synth_obs(profile, seed, sent, round),
                 })
-                .map_err(|e| format!("sweep send failed: {e}"))?;
+                .map_err(|e| format!("round {round}: send failed: {e}"))?;
             sent += 1;
         }
         match client.recv() {
-            Ok(Response::Decision { source, .. }) => {
+            Ok(Response::Decision {
+                req_id,
+                action,
+                tier,
+                source,
+            }) => {
+                let Some(slot) = req_id
+                    .checked_sub(tag)
+                    .and_then(|stream| answers.get_mut(stream as usize))
+                    .filter(|slot| slot.is_none())
+                else {
+                    return Err(format!("round {round}: unexpected reply id {req_id:#x}"));
+                };
+                *slot = Some((action, tier, source));
                 received += 1;
-                if source == Source::Shed as u8 {
-                    shed += 1;
-                }
             }
-            Ok(other) => return Err(format!("unexpected sweep response {other:?}")),
-            Err(e) => return Err(format!("sweep receive failed: {e}")),
+            Ok(other) => return Err(format!("round {round}: unexpected response {other:?}")),
+            Err(e) => return Err(format!("round {round}: receive failed: {e}")),
         }
     }
-    Ok((start.elapsed(), shed))
+    Ok(answers.into_iter().flatten().collect())
+}
+
+/// A checksummed lockstep window: FNV-1a over every `(round, stream,
+/// action)` in order, plus the distinct actions seen.
+struct WindowDigest {
+    checksum: u64,
+    actions: BTreeSet<u16>,
+}
+
+impl WindowDigest {
+    fn new() -> Self {
+        Self {
+            checksum: 0xcbf2_9ce4_8422_2325,
+            actions: BTreeSet::new(),
+        }
+    }
+
+    /// Folds one round's answers, as [`lockstep_round`] returns them.
+    fn fold(&mut self, round: u64, answers: &[(u16, u8, u8)]) {
+        for (stream, &(action, _, _)) in (0u64..).zip(answers) {
+            for v in [round, stream, action as u64] {
+                self.checksum = fnv_fold(self.checksum, v);
+            }
+            self.actions.insert(action);
+        }
+    }
+
+    fn distinct_actions(&self) -> u64 {
+        self.actions.len() as u64
+    }
 }
 
 /// Runs the streams sweep: for each size, self-host a daemon sized for it
 /// (hibernation off, so the measurement reflects the live compact tier),
-/// admit every stream with a closed-loop warm round, read the memory
-/// deltas, time a second closed-loop round for decisions/sec, and shut
-/// down. Memory numbers are process-wide deltas, so the sweep must run
-/// with no other daemon in-process.
+/// admit every stream with a windowed warm round, read the memory deltas,
+/// time a second windowed round for decisions/sec, and shut down. Memory
+/// numbers are process-wide deltas, so the sweep must run with no other
+/// daemon in-process.
 pub fn run_streams_sweep(
-    pipeline_cfg: &lahd_core::PipelineConfig,
+    pipeline_cfg: &PipelineConfig,
     artifacts: &Path,
-    base: &crate::ServeConfig,
+    base: &ServeConfig,
     sizes: &[u64],
     seed: u64,
 ) -> Result<StreamsSweep, String> {
@@ -459,53 +652,59 @@ pub fn run_streams_sweep(
     let mut points = Vec::with_capacity(sizes.len());
     for &n in sizes {
         let n = n.max(1);
-        let mut cfg = base.clone();
         // Sized so hash imbalance across shards cannot shed, and with the
         // cold tier disabled: every admitted stream stays live in its
         // table, which is the bytes/stream story the sweep reports.
-        cfg.max_streams = n as usize;
-        cfg.hibernate_after = 0;
-        cfg.allow_chaos = false;
+        let cfg = ServeConfig {
+            max_streams: n as usize,
+            hibernate_after: 0,
+            allow_chaos: false,
+            ..base.clone()
+        };
+        let window = (cfg.queue_capacity as u64).clamp(16, 256);
         let socket =
             std::env::temp_dir().join(format!("lahd-sweep-{}-{n}.sock", std::process::id()));
-        let handle = crate::daemon::serve_dir(pipeline_cfg, artifacts, cfg.clone(), &socket)?;
-        let result = (|| -> Result<SweepPoint, String> {
-            let mut control = ServeClient::connect_retry(&socket, Duration::from_secs(5))
-                .map_err(|e| format!("sweep connect failed: {e}"))?;
-            let mut load = ServeClient::connect_retry(&socket, Duration::from_secs(5))
-                .map_err(|e| format!("sweep connect failed: {e}"))?;
-            let _ = stats(&mut control)?; // settle: daemon + sidecar up
-            let live0 = crate::live_bytes();
-            let rss0 = crate::rss_bytes();
-            let window = (cfg.queue_capacity as u64).clamp(16, 256);
-            let (_, shed_warm) = closed_loop_round(&mut load, &profile, seed, n, 0, window)?;
-            let (snap, _) = stats(&mut control)?; // sync barrier: exact gauges
-            let live1 = crate::live_bytes();
-            let rss1 = crate::rss_bytes();
-            let (elapsed, shed_timed) = closed_loop_round(&mut load, &profile, seed, n, 1, window)?;
-            let admitted = snap.streams_total().max(1);
-            let live_delta = live1.saturating_sub(live0);
-            let rss_delta = rss1.saturating_sub(rss0);
-            Ok(SweepPoint {
-                streams: n,
-                admitted: snap.streams_total(),
-                decisions_per_sec: n as f64 / elapsed.as_secs_f64().max(1e-9),
-                live_bytes_per_stream: live_delta / admitted,
-                rss_delta_bytes: rss_delta,
-                rss_bytes_per_stream: rss_delta / admitted,
-                shed: shed_warm + shed_timed,
-                compact: snap.streams_compact,
-                resident: snap.streams_resident,
-                hibernated: snap.streams_hibernated,
+        // On a failed measurement the daemon drops (and stops) before the
+        // error returns, so no later size measures beside it.
+        let daemon = HostedDaemon::in_process(pipeline_cfg, artifacts, cfg, &socket)?;
+        let mut control = daemon.connect()?;
+        let mut load = daemon.connect()?;
+        // Counted as each round returns, so the harness's own answer
+        // buffer is freed before the live-heap reading.
+        let mut shed_in_round = |round: u64| {
+            lockstep_round(&mut load, &profile, seed, n, round, window).map(|answers| {
+                answers
+                    .iter()
+                    .filter(|&&(_, _, source)| source == Source::Shed as u8)
+                    .count() as u64
             })
-        })();
-        // Always shut the daemon down, even on a failed measurement, so
-        // the next size starts from a clean process-wide memory baseline.
-        if let Ok(mut c) = ServeClient::connect_retry(&socket, Duration::from_secs(1)) {
-            let _ = c.call(&Request::Shutdown);
-        }
-        handle.wait();
-        points.push(result?);
+        };
+        stats(&mut control)?; // settle: daemon + sidecar up
+        let live0 = crate::live_bytes();
+        let rss0 = crate::rss_bytes();
+        let shed_warm = shed_in_round(0)?;
+        let snap = stats(&mut control)?; // sync barrier: exact gauges
+        let live1 = crate::live_bytes();
+        let rss1 = crate::rss_bytes();
+        let start = Instant::now();
+        let shed_timed = shed_in_round(1)?;
+        let elapsed = start.elapsed();
+        daemon.shutdown()?;
+        let admitted = snap.streams_total().max(1);
+        let live_delta = live1.saturating_sub(live0);
+        let rss_delta = rss1.saturating_sub(rss0);
+        points.push(SweepPoint {
+            streams: n,
+            admitted: snap.streams_total(),
+            decisions_per_sec: n as f64 / elapsed.as_secs_f64().max(1e-9),
+            live_bytes_per_stream: live_delta / admitted,
+            rss_delta_bytes: rss_delta,
+            rss_bytes_per_stream: rss_delta / admitted,
+            shed: shed_warm + shed_timed,
+            compact: snap.streams_compact,
+            resident: snap.streams_resident,
+            hibernated: snap.streams_hibernated,
+        });
     }
     Ok(StreamsSweep { points })
 }
@@ -557,27 +756,10 @@ fn fnv_fold(mut h: u64, v: u64) -> u64 {
     h
 }
 
-fn stats(client: &mut ServeClient) -> Result<(MetricsSnapshot, usize), String> {
-    match client.call(&Request::Stats) {
-        Ok(Response::StatsJson(json)) => {
-            let shards = {
-                let needle = "\"shards\":";
-                json.find(needle)
-                    .map(|at| {
-                        json[at + needle.len()..]
-                            .chars()
-                            .take_while(|c| c.is_ascii_digit())
-                            .collect::<String>()
-                            .parse()
-                            .unwrap_or(1)
-                    })
-                    .unwrap_or(1)
-            };
-            Ok((MetricsSnapshot::from_json(&json), shards))
-        }
-        Ok(other) => Err(format!("unexpected stats response {other:?}")),
-        Err(e) => Err(format!("stats request failed: {e}")),
-    }
+fn stats(client: &mut ServeClient) -> Result<MetricsSnapshot, String> {
+    client
+        .stats()
+        .map_err(|e| format!("stats request failed: {e}"))
 }
 
 /// Loads the baseline profile the bench synthesises observations from.
@@ -638,25 +820,21 @@ fn chaos_phase(
     profile: &BaselineProfile,
     cfg: &BenchConfig,
 ) -> Result<ChaosOutcome, String> {
-    let (before, shards) = stats(client)?;
-    let first_chaos = cfg
-        .chaos
-        .as_ref()
-        .map_or(cfg.rounds, ChaosPlan::first_round);
-    let req_id = |round: u64, rep: u64, stream: u64| (round << 40) | (rep << 24) | stream;
+    let before = stats(client)?;
+    let shards = before.shards as usize;
+    let plan = cfg.chaos.as_ref();
+    let first_chaos = plan.map_or(cfg.rounds, ChaosPlan::first_round);
 
     let mut requests = 0u64;
     let mut responses = 0u64;
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
-    let mut reload_rejected = cfg.chaos.is_none();
-    let mut shed_observed = false;
-    let mut deadline_fallback = cfg.chaos.is_none();
-    let mut post_kill_guarded = cfg.chaos.is_none();
+    let mut prechaos = WindowDigest::new();
+    let mut reload_rejected = plan.is_none();
+    let mut shed_observed = plan.is_none();
+    let mut deadline_fallback = plan.is_none();
+    let mut post_kill_guarded = plan.is_none();
 
     for round in 0..cfg.rounds {
-        let mut expected = 0usize;
-        let mut deadline_req = None;
-        if let Some(plan) = &cfg.chaos {
+        if let Some(plan) = plan {
             if round == plan.kill_round {
                 match client
                     .call(&Request::Crash {
@@ -679,123 +857,129 @@ fn chaos_phase(
                     other => return Err(format!("corrupt reload was not rejected: {other:?}")),
                 }
             }
-            if round == plan.burst_round {
-                match client
-                    .call(&Request::Hold {
-                        shard: plan.kill_shard,
-                        ms: plan.hold_ms,
-                    })
-                    .map_err(|e| e.to_string())?
-                {
-                    Response::Ok => {}
-                    other => return Err(format!("hold injection refused: {other:?}")),
-                }
-                // One deliberately-delayed request against the held shard:
-                // its 1 ms budget expires during the hold, so it must come
-                // back from the deadline fallback.
-                let victim = (0..cfg.streams)
-                    .find(|&s| crate::daemon::shard_of(s, shards) == plan.kill_shard as usize)
-                    .unwrap_or(0);
-                let id = req_id(round, plan.burst_factor, victim);
-                client
-                    .send(&Request::Decide {
-                        req_id: id,
-                        stream: victim,
-                        deadline_us: 1000,
-                        obs: synth_obs(profile, cfg.seed, victim, round),
-                    })
-                    .map_err(|e| e.to_string())?;
-                deadline_req = Some(id);
-                expected += 1;
-                requests += 1;
-                for rep in 0..plan.burst_factor {
-                    for stream in 0..cfg.streams {
-                        client
-                            .send(&Request::Decide {
-                                req_id: req_id(round, rep, stream),
-                                stream,
-                                deadline_us: 0,
-                                obs: synth_obs(profile, cfg.seed, stream, round),
-                            })
-                            .map_err(|e| e.to_string())?;
-                        expected += 1;
-                        requests += 1;
-                    }
-                }
-            }
         }
-        if expected == 0 {
-            for stream in 0..cfg.streams {
-                client
-                    .send(&Request::Decide {
-                        req_id: req_id(round, 0, stream),
-                        stream,
-                        deadline_us: 0,
-                        obs: synth_obs(profile, cfg.seed, stream, round),
-                    })
-                    .map_err(|e| e.to_string())?;
-                expected += 1;
-                requests += 1;
+        let answers = match plan {
+            Some(plan) if round == plan.burst_round => {
+                let burst = burst_round(client, profile, cfg, plan, round, shards)?;
+                requests += burst.requests;
+                responses += burst.responses;
+                shed_observed |= burst.shed;
+                deadline_fallback |= burst.deadline_fallback;
+                burst.answers
             }
-        }
-        let got = expect_decisions(client, expected)?;
-        responses += got.len() as u64;
+            _ => {
+                let answers =
+                    lockstep_round(client, profile, cfg.seed, cfg.streams, round, cfg.streams)?;
+                requests += cfg.streams;
+                responses += answers.len() as u64;
+                answers
+            }
+        };
         if round < first_chaos {
-            for stream in 0..cfg.streams {
-                if let Some(&(action, _, _)) = got.get(&req_id(round, 0, stream)) {
-                    checksum = fnv_fold(checksum, round);
-                    checksum = fnv_fold(checksum, stream);
-                    checksum = fnv_fold(checksum, action as u64);
-                }
-            }
+            prechaos.fold(round, &answers);
         }
-        if let Some(plan) = &cfg.chaos {
-            if got
-                .values()
-                .any(|&(_, _, source)| source == Source::Shed as u8)
-            {
-                shed_observed = true;
-            }
-            if let Some(id) = deadline_req {
-                if matches!(got.get(&id), Some(&(_, _, s)) if s == Source::Deadline as u8) {
-                    deadline_fallback = true;
-                }
-            }
+        if let Some(plan) = plan {
+            shed_observed |= answers
+                .iter()
+                .any(|&(_, _, source)| source == Source::Shed as u8);
             if round > plan.kill_round {
-                let killed = plan.kill_shard as usize;
-                for stream in 0..cfg.streams {
-                    if crate::daemon::shard_of(stream, shards) == killed {
-                        if let Some(&(_, _, source)) = got.get(&req_id(round, 0, stream)) {
-                            if source == Source::Guarded as u8 {
-                                post_kill_guarded = true;
-                            }
-                        }
-                    }
-                }
+                post_kill_guarded |= (0u64..).zip(&answers).any(|(stream, &(_, _, source))| {
+                    shard_of(stream, shards) == plan.kill_shard as usize
+                        && source == Source::Guarded as u8
+                });
             }
         }
     }
 
-    let (after, _) = stats(client)?;
-    let shard_recovered =
-        post_kill_guarded && (cfg.chaos.is_none() || after.restarts > before.restarts);
+    let after = stats(client)?;
+    let shard_recovered = post_kill_guarded && (plan.is_none() || after.restarts > before.restarts);
     Ok(ChaosOutcome {
         seed: cfg.seed,
         streams: cfg.streams,
         rounds: cfg.rounds,
-        plan: cfg
-            .chaos
-            .as_ref()
-            .map_or("none".to_string(), ChaosPlan::describe),
+        plan: plan.map_or("none".to_string(), ChaosPlan::describe),
         requests,
         responses,
-        prechaos_checksum: checksum,
+        prechaos_checksum: prechaos.checksum,
+        prechaos_distinct_actions: prechaos.distinct_actions(),
         daemon_alive: true,
         shard_recovered,
         reload_rejected,
         generation_unchanged: after.generation == before.generation,
-        shed_observed: shed_observed || cfg.chaos.is_none(),
+        shed_observed,
         deadline_fallback,
+    })
+}
+
+/// What the chaos plan's burst round sent and saw.
+struct Burst {
+    requests: u64,
+    responses: u64,
+    /// The first copy's answers, in stream order.
+    answers: Vec<(u16, u8, u8)>,
+    /// Some answer came back shed-labelled.
+    shed: bool,
+    /// The deliberately-delayed request came back from the deadline
+    /// fallback.
+    deadline_fallback: bool,
+}
+
+/// The bespoke burst round: hold the plan's shard, send one request with a
+/// 1 ms budget against it (the budget expires during the hold, so it must
+/// come back from the deadline fallback), then `burst_factor` copies of
+/// the round back to back.
+fn burst_round(
+    client: &mut ServeClient,
+    profile: &BaselineProfile,
+    cfg: &BenchConfig,
+    plan: &ChaosPlan,
+    round: u64,
+    shards: usize,
+) -> Result<Burst, String> {
+    match client
+        .call(&Request::Hold {
+            shard: plan.kill_shard,
+            ms: plan.hold_ms,
+        })
+        .map_err(|e| e.to_string())?
+    {
+        Response::Ok => {}
+        other => return Err(format!("hold injection refused: {other:?}")),
+    }
+    let req_id = |rep: u64, stream: u64| (round << 40) | (rep << 24) | stream;
+    let mut decide = |req_id: u64, stream: u64, deadline_us: u64| {
+        client
+            .send(&Request::Decide {
+                req_id,
+                stream,
+                deadline_us,
+                obs: synth_obs(profile, cfg.seed, stream, round),
+            })
+            .map_err(|e| e.to_string())
+    };
+    let victim = (0..cfg.streams)
+        .find(|&s| shard_of(s, shards) == plan.kill_shard as usize)
+        .unwrap_or(0);
+    let delayed = req_id(plan.burst_factor, victim);
+    decide(delayed, victim, 1000)?;
+    for rep in 0..plan.burst_factor {
+        for stream in 0..cfg.streams {
+            decide(req_id(rep, stream), stream, 0)?;
+        }
+    }
+    let requests = 1 + plan.burst_factor * cfg.streams;
+    let got = expect_decisions(client, requests as usize)?;
+    Ok(Burst {
+        requests,
+        responses: got.len() as u64,
+        answers: (0..cfg.streams)
+            .filter_map(|stream| got.get(&req_id(0, stream)).copied())
+            .collect(),
+        shed: got
+            .values()
+            .any(|&(_, _, source)| source == Source::Shed as u8),
+        deadline_fallback: got.get(&delayed).map(|&(_, _, source)| source)
+            == Some(Source::Deadline as u8),
     })
 }
 
@@ -874,7 +1058,7 @@ fn perf_phase(
             let req = Request::Decide {
                 req_id,
                 stream: stream_id,
-                deadline_us: cfg.deadline_us,
+                deadline_us: 0,
                 obs: synth_obs(profile, cfg.seed, stream_id, round),
             };
             write_frame(&mut writer, &req.encode())
@@ -910,10 +1094,10 @@ pub struct DrillConfig {
     pub rounds_after: u64,
     /// Seed for observation synthesis (shared by both daemons).
     pub seed: u64,
-    /// Arguments appended verbatim to every `<exe> serve` spawn (scale,
-    /// artifact dir, shard count, audit cadence, …). The drill adds its
-    /// own `--socket`, `--state-dir`, `--checkpoint-every` and
-    /// `--recover`.
+    /// Arguments appended verbatim to every `<exe> serve` spawn: the
+    /// artifact dir, every flag the artifacts' configuration is parsed
+    /// from, shard count, audit cadence, … The drill adds its own
+    /// `--socket`, `--state-dir`, `--checkpoint-every` and `--recover`.
     pub serve_args: Vec<String>,
 }
 
@@ -961,6 +1145,10 @@ pub struct DrillOutcome {
     pub baseline_checksum: u64,
     /// The same fold over the killed-and-recovered daemon's answers.
     pub recovered_checksum: u64,
+    /// Distinct actions in the reference daemon's post-window; below 2 the
+    /// checksums cannot tell a recovered daemon from one that lost every
+    /// cursor.
+    pub distinct_actions: u64,
     /// The two checksums agree — recovery was action-identical.
     pub lockstep: bool,
     /// Both daemons (reference, and the recovered one after its drill
@@ -977,7 +1165,7 @@ impl DrillOutcome {
                 "\"faults\":\"{}\",\"admitted\":{},\"recovered\":{},\"quarantined\":{},",
                 "\"journal_ops\":{},\"resumed_pct\":{},",
                 "\"baseline_checksum\":\"{:#018x}\",\"recovered_checksum\":\"{:#018x}\",",
-                "\"lockstep\":{},\"clean_exit\":{}}}"
+                "\"distinct_actions\":{},\"lockstep\":{},\"clean_exit\":{}}}"
             ),
             self.seed,
             self.streams,
@@ -991,111 +1179,18 @@ impl DrillOutcome {
             self.resumed_pct,
             self.baseline_checksum,
             self.recovered_checksum,
+            self.distinct_actions,
             self.lockstep,
             self.clean_exit
         )
     }
 
     /// The clean-drill gate: ≥99% of streams resumed, bit-identical
-    /// post-recovery actions, graceful exits throughout.
+    /// post-recovery actions over a window of at least two distinct
+    /// actions, graceful exits throughout.
     pub fn all_good(&self) -> bool {
-        self.resumed_pct >= 99 && self.lockstep && self.clean_exit
+        self.resumed_pct >= 99 && self.lockstep && self.distinct_actions >= 2 && self.clean_exit
     }
-}
-
-/// A spawned `serve` child that is SIGKILLed on drop, so a failed drill
-/// never leaks daemons.
-struct DrillDaemon {
-    child: std::process::Child,
-}
-
-impl DrillDaemon {
-    fn spawn(
-        exe: &Path,
-        serve_args: &[String],
-        socket: &Path,
-        state_dir: &Path,
-        recover: bool,
-    ) -> Result<Self, String> {
-        let mut cmd = std::process::Command::new(exe);
-        cmd.arg("serve")
-            .args(serve_args)
-            .arg("--socket")
-            .arg(socket)
-            .arg("--state-dir")
-            .arg(state_dir)
-            .arg("--checkpoint-every")
-            .arg("1")
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
-        if recover {
-            cmd.arg("--recover");
-        }
-        let child = cmd
-            .spawn()
-            .map_err(|e| format!("failed to spawn {}: {e}", exe.display()))?;
-        Ok(Self { child })
-    }
-
-    /// SIGKILL — no drain, no flush; the crash the drill is about.
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-
-    /// Reaps a daemon that was asked to shut down; true on exit status 0.
-    fn wait_clean(mut self) -> Result<bool, String> {
-        self.child
-            .wait()
-            .map(|status| status.success())
-            .map_err(|e| format!("wait failed: {e}"))
-    }
-}
-
-impl Drop for DrillDaemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Drives `rounds` lockstep rounds (one decision per stream), optionally
-/// folding every `(round, stream, action)` into a checksum in
-/// deterministic order.
-fn drill_rounds(
-    client: &mut ServeClient,
-    profile: &BaselineProfile,
-    seed: u64,
-    streams: u64,
-    rounds: std::ops::Range<u64>,
-    mut checksum: Option<&mut u64>,
-) -> Result<(), String> {
-    let req_id = |round: u64, stream: u64| (round << 24) | stream;
-    for round in rounds {
-        for stream in 0..streams {
-            client
-                .send(&Request::Decide {
-                    req_id: req_id(round, stream),
-                    stream,
-                    deadline_us: 0,
-                    obs: synth_obs(profile, seed, stream, round),
-                })
-                .map_err(|e| format!("drill send failed: {e}"))?;
-        }
-        let got = expect_decisions(client, streams as usize)?;
-        if let Some(sum) = checksum.as_deref_mut() {
-            for stream in 0..streams {
-                let Some(&(action, _, _)) = got.get(&req_id(round, stream)) else {
-                    return Err(format!("drill round {round} lost stream {stream}"));
-                };
-                *sum = fnv_fold(*sum, round);
-                *sum = fnv_fold(*sum, stream);
-                *sum = fnv_fold(*sum, action as u64);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Blocks until every shard has written a checkpoint strictly newer than
@@ -1158,62 +1253,59 @@ pub fn run_restart_drill(
         let _ = std::fs::remove_dir_all(p);
         std::fs::create_dir_all(p).map_err(|e| format!("create {} failed: {e}", p.display()))
     };
-    let connect = |socket: &Path| {
-        ServeClient::connect_retry(socket, Duration::from_secs(10))
-            .map_err(|e| format!("drill connect failed: {e}"))
+    let spawn = |socket: &Path, state_dir: &Path, recover: bool| {
+        let mut args = cfg.serve_args.clone();
+        args.extend([
+            "--state-dir".to_string(),
+            state_dir.display().to_string(),
+            "--checkpoint-every".to_string(),
+            "1".to_string(),
+        ]);
+        if recover {
+            args.push("--recover".to_string());
+        }
+        HostedDaemon::spawn(exe, &args, socket)
     };
-    let fnv_basis = 0xcbf2_9ce4_8422_2325u64;
+    let drive = |daemon: &HostedDaemon, rounds: std::ops::Range<u64>| {
+        let mut client = daemon.connect()?;
+        let mut digest = WindowDigest::new();
+        for round in rounds {
+            let answers = lockstep_round(
+                &mut client,
+                &profile,
+                cfg.seed,
+                cfg.streams,
+                round,
+                cfg.streams,
+            )?;
+            digest.fold(round, &answers);
+        }
+        Ok::<_, String>(digest)
+    };
 
     // Reference lineage: never interrupted.
     let base_state = work_dir.join("baseline-state");
-    let base_sock = work_dir.join(format!("drill-base-{pid}.sock"));
     mkdir(&base_state)?;
-    let base = DrillDaemon::spawn(exe, &cfg.serve_args, &base_sock, &base_state, false)?;
-    let mut baseline_checksum = fnv_basis;
-    {
-        let mut client = connect(&base_sock)?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            0..cfg.rounds_before,
-            None,
-        )?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            cfg.rounds_before..total,
-            Some(&mut baseline_checksum),
-        )?;
-        client
-            .call(&Request::Shutdown)
-            .map_err(|e| format!("reference shutdown failed: {e}"))?;
-    }
-    let base_clean = base.wait_clean()?;
+    let base = spawn(
+        &work_dir.join(format!("drill-base-{pid}.sock")),
+        &base_state,
+        false,
+    )?;
+    drive(&base, 0..cfg.rounds_before)?;
+    let baseline = drive(&base, cfg.rounds_before..total)?;
+    let base_clean = base.shutdown()?;
 
     // Victim lineage: warm, quiesce, SIGKILL.
     let crash_state = work_dir.join("crash-state");
     let crash_sock = work_dir.join(format!("drill-crash-{pid}.sock"));
     mkdir(&crash_state)?;
-    let mut victim = DrillDaemon::spawn(exe, &cfg.serve_args, &crash_sock, &crash_state, false)?;
-    let shards = {
-        let mut client = connect(&crash_sock)?;
-        let (_, shards) = stats(&mut client)?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            0..cfg.rounds_before,
-            None,
-        )?;
-        shards
-    };
+    let victim = spawn(&crash_sock, &crash_state, false)?;
+    let shards = victim.stats()?.shards as usize;
+    drive(&victim, 0..cfg.rounds_before)?;
     await_quiescent_checkpoint(&crash_state, shards)?;
-    victim.kill();
+    // Dropping the fixture SIGKILLs the child: no drain, no flush — the
+    // crash the drill is about.
+    drop(victim);
 
     let faults = match corrupt {
         Some(inject) => inject(&crash_state)?,
@@ -1221,25 +1313,10 @@ pub fn run_restart_drill(
     };
 
     // Recovery lineage: restart on the (possibly damaged) state directory.
-    let revived = DrillDaemon::spawn(exe, &cfg.serve_args, &crash_sock, &crash_state, true)?;
-    let mut recovered_checksum = fnv_basis;
-    let snap = {
-        let mut client = connect(&crash_sock)?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            cfg.rounds_before..total,
-            Some(&mut recovered_checksum),
-        )?;
-        let (snap, _) = stats(&mut client)?;
-        client
-            .call(&Request::Shutdown)
-            .map_err(|e| format!("recovered shutdown failed: {e}"))?;
-        snap
-    };
-    let revived_clean = revived.wait_clean()?;
+    let revived = spawn(&crash_sock, &crash_state, true)?;
+    let recovered = drive(&revived, cfg.rounds_before..total)?;
+    let snap = revived.stats()?;
+    let revived_clean = revived.shutdown()?;
 
     let admitted = cfg.streams;
     Ok(DrillOutcome {
@@ -1253,9 +1330,10 @@ pub fn run_restart_drill(
         quarantined: snap.quarantined_records,
         journal_ops: snap.journal_ops,
         resumed_pct: snap.recovered_streams * 100 / admitted.max(1),
-        baseline_checksum,
-        recovered_checksum,
-        lockstep: recovered_checksum == baseline_checksum,
+        baseline_checksum: baseline.checksum,
+        recovered_checksum: recovered.checksum,
+        distinct_actions: baseline.distinct_actions(),
+        lockstep: recovered.checksum == baseline.checksum,
         clean_exit: base_clean && revived_clean,
     })
 }
@@ -1294,6 +1372,7 @@ mod tests {
             requests: 320,
             responses: 320,
             prechaos_checksum: 0xdead_beef,
+            prechaos_distinct_actions: 3,
             daemon_alive: true,
             shard_recovered: true,
             reload_rejected: true,
@@ -1303,9 +1382,9 @@ mod tests {
         };
         assert_eq!(outcome.to_json(), outcome.clone().to_json());
         assert!(outcome.all_good());
-        assert!(outcome
-            .to_json()
-            .contains("\"prechaos_checksum\":\"0x00000000deadbeef\""));
+        assert!(outcome.to_json().contains(
+            "\"prechaos_checksum\":\"0x00000000deadbeef\",\"prechaos_distinct_actions\":3,"
+        ));
     }
 
     #[test]
@@ -1323,6 +1402,7 @@ mod tests {
             resumed_pct: 100,
             baseline_checksum: 0xdead_beef,
             recovered_checksum: 0xdead_beef,
+            distinct_actions: 2,
             lockstep: true,
             clean_exit: true,
         };
@@ -1331,6 +1411,15 @@ mod tests {
         let json = outcome.to_json();
         assert!(json.contains("\"baseline_checksum\":\"0x00000000deadbeef\""));
         assert!(json.contains("\"resumed_pct\":100"));
+        assert!(json.contains("\"distinct_actions\":2,"));
+        let vacuous = DrillOutcome {
+            distinct_actions: 1,
+            ..outcome.clone()
+        };
+        assert!(
+            !vacuous.all_good(),
+            "a one-action window cannot show recovery"
+        );
         let torn = DrillOutcome {
             recovered: 20,
             resumed_pct: 62,

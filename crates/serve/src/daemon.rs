@@ -7,7 +7,7 @@
 //! stream's requests are always ordered through one worker.
 //!
 //! Admission control: enqueue uses `try_send` against the bounded shard
-//! queue, retrying `admission_retries` times with a short backoff on
+//! queue, retrying [`ADMISSION_RETRIES`] times with a short backoff on
 //! transient fullness; persistent fullness *sheds* the request — it is
 //! answered inline from the scenario-baseline fallback policy (labelled
 //! [`crate::Source::Shed`]) instead of being rejected, and counted.
@@ -39,6 +39,12 @@ use crate::protocol::{read_frame, write_frame, Request, Response, Source};
 use crate::shard::{run_shard, ShardMsg, TIER_BASELINE};
 use crate::telemetry::{run_aggregator, telemetry_channel, TelemetryHub};
 
+/// `try_send` retries before a request is shed.
+const ADMISSION_RETRIES: u32 = 2;
+
+/// Sleep between admission retries.
+const ADMISSION_BACKOFF: Duration = Duration::from_micros(100);
+
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -51,17 +57,9 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Maximum live streams per shard; excess streams are shed.
     pub max_streams: usize,
-    /// try_send retries before a request is shed.
-    pub admission_retries: u32,
-    /// Sleep between admission retries, microseconds.
-    pub retry_backoff_us: u64,
     /// Whether chaos requests ([`Request::Crash`], [`Request::Hold`]) are
     /// honoured. Off by default; the chaos harness turns it on.
     pub allow_chaos: bool,
-    /// Initial worker restart backoff after a panic, milliseconds.
-    pub restart_backoff_ms: u64,
-    /// Restart backoff ceiling, milliseconds.
-    pub restart_backoff_cap_ms: u64,
     /// Decisions between periodic full-guard audits of a compact stream
     /// (staggered per stream; 0 disables audits).
     pub audit_every: u64,
@@ -94,11 +92,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             batch_max: 12,
             max_streams: 1024,
-            admission_retries: 2,
-            retry_backoff_us: 100,
             allow_chaos: false,
-            restart_backoff_ms: 10,
-            restart_backoff_cap_ms: 500,
             audit_every: 4096,
             audit_budget: 8,
             hibernate_after: 512,
@@ -184,11 +178,6 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// The socket the daemon listens on.
-    pub fn socket_path(&self) -> &Path {
-        &self.socket
-    }
-
     /// Shared state (metrics, generation) for in-process harnesses.
     pub fn shared(&self) -> &Arc<SharedState> {
         &self.shared
@@ -463,14 +452,14 @@ fn route_decide(
         obs,
         reply: tx_resp.clone(),
     };
-    for attempt in 0..=shared.cfg.admission_retries {
+    for attempt in 0..=ADMISSION_RETRIES {
         match senders[shard].try_send(msg) {
             Ok(()) => return,
             Err(TrySendError::Full(back)) => {
                 ServeMetrics::bump(&shared.metrics.queue_full);
                 msg = back;
-                if attempt < shared.cfg.admission_retries {
-                    std::thread::sleep(Duration::from_micros(shared.cfg.retry_backoff_us));
+                if attempt < ADMISSION_RETRIES {
+                    std::thread::sleep(ADMISSION_BACKOFF);
                 }
             }
             Err(TrySendError::Disconnected(back)) => {

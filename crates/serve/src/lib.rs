@@ -40,7 +40,9 @@
 //! reload), whose chaos summary is byte-reproducible under a fixed seed;
 //! [`run_restart_drill`] is the supervisor-style crash-restart drill
 //! behind `lahd serve-drill` (SIGKILL mid-load → restart with recovery →
-//! action-checksum lockstep against an uninterrupted daemon).
+//! action-checksum lockstep against an uninterrupted daemon). Both drive
+//! their rounds through [`lockstep_round`] and host their daemons as
+//! [`HostedDaemon`]s.
 
 mod alloc;
 mod bench;
@@ -57,12 +59,12 @@ mod telemetry;
 
 pub use alloc::{live_bytes, rss_bytes, CountingAllocator};
 pub use bench::{
-    load_profile, prepare_corrupt_candidate, run_bench, run_restart_drill, run_streams_sweep,
-    BenchConfig, BenchSummary, ChaosOutcome, ChaosPlan, DrillConfig, DrillOutcome, PerfOutcome,
-    StreamsSweep, SweepPoint,
+    load_profile, lockstep_round, prepare_corrupt_candidate, run_bench, run_restart_drill,
+    run_streams_sweep, BenchConfig, BenchSummary, ChaosOutcome, ChaosPlan, DrillConfig,
+    DrillOutcome, HostedDaemon, PerfOutcome, StreamsSweep, SweepPoint,
 };
 pub use bundle::ServeBundle;
-pub use client::{ClientError, RetryPolicy, ServeClient};
+pub use client::ServeClient;
 pub use compact::{CompactStream, HibernationArena, REC_BYTES};
 pub use daemon::{serve, serve_dir, shard_of, ServeConfig, ServeHandle, SharedState};
 pub use metrics::{render_stats_json, LatencyHistogram, MetricsSnapshot, ServeMetrics};

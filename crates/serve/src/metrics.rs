@@ -123,6 +123,8 @@ pub fn render_stats_json(
 pub struct MetricsSnapshot {
     /// Bundle generation at snapshot time.
     pub generation: u64,
+    /// Shard worker count (what [`crate::shard_of`] routes over).
+    pub shards: u64,
     /// Decisions served on the guarded path.
     pub served: u64,
     /// Decisions shed by admission control (connection + shard side).
@@ -182,6 +184,7 @@ impl MetricsSnapshot {
         };
         Self {
             generation: field("generation"),
+            shards: field("shards"),
             served: field("served"),
             shed: field("shed"),
             deadline_misses: field("deadline_misses"),
@@ -337,6 +340,7 @@ mod tests {
         let json = render_stats_json(3, 2, &m, &snap);
         let parsed = MetricsSnapshot::from_json(&json);
         assert_eq!(parsed.generation, 3);
+        assert_eq!(parsed.shards, 2);
         assert_eq!(parsed.served, 2);
         assert_eq!(parsed.shed, 3, "conn-side + shard-side sheds sum");
         assert_eq!(parsed.panics, 1);

@@ -1100,11 +1100,18 @@ struct DecideReq {
     reply: Sender<Response>,
 }
 
+/// Worker restart backoff after the first panic, milliseconds; doubles per
+/// consecutive panic.
+const RESTART_BACKOFF_MS: u64 = 10;
+
+/// Restart backoff ceiling, milliseconds.
+const RESTART_BACKOFF_CAP_MS: u64 = 500;
+
 /// The shard thread body: serve until shutdown, restarting the serving
 /// loop with exponential backoff whenever it panics. The queue receiver
 /// outlives the panic, so in-flight requests survive worker crashes.
 pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>) {
-    let mut backoff_ms = shared.cfg.restart_backoff_ms.max(1);
+    let mut backoff_ms = RESTART_BACKOFF_MS;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_loop(index, &rx, &shared)));
         match outcome {
@@ -1115,7 +1122,7 @@ pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>)
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(backoff_ms));
-                backoff_ms = (backoff_ms * 2).min(shared.cfg.restart_backoff_cap_ms.max(1));
+                backoff_ms = (backoff_ms * 2).min(RESTART_BACKOFF_CAP_MS);
                 ServeMetrics::bump(&shared.metrics.restarts);
             }
         }

@@ -7,30 +7,15 @@
 //! corrupt reload — and a same-seed re-run against a fresh daemon
 //! produces a byte-identical chaos JSON summary.
 
+mod common;
+
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
-use std::time::Duration;
 
-use lahd_core::{save_artifacts, Pipeline, PipelineConfig};
+use common::artifacts;
 use lahd_serve::{
-    prepare_corrupt_candidate, run_bench, serve_dir, BenchConfig, ChaosPlan, MetricsSnapshot,
-    Request, Response, ServeClient, ServeConfig, ServeHandle,
+    prepare_corrupt_candidate, run_bench, BenchConfig, ChaosPlan, HostedDaemon, Request, Response,
+    ServeConfig,
 };
-
-/// Train the tiny pipeline once per process and stamp its artifacts to
-/// disk; every test serves from this directory.
-fn artifacts() -> &'static (PipelineConfig, PathBuf) {
-    static ARTIFACTS: OnceLock<(PipelineConfig, PathBuf)> = OnceLock::new();
-    ARTIFACTS.get_or_init(|| {
-        let cfg = PipelineConfig::tiny();
-        let produced = Pipeline::new(cfg.clone()).run();
-        let dir = std::env::temp_dir().join("lahd_serve_e2e_artifacts");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        save_artifacts(&produced, &dir).unwrap();
-        (cfg, dir)
-    })
-}
 
 fn chaos_serve_cfg() -> ServeConfig {
     ServeConfig {
@@ -43,24 +28,9 @@ fn chaos_serve_cfg() -> ServeConfig {
     }
 }
 
-fn start_daemon(socket: &Path) -> ServeHandle {
+fn start_daemon(socket: &Path) -> HostedDaemon {
     let (cfg, dir) = artifacts();
-    serve_dir(cfg, dir, chaos_serve_cfg(), socket).expect("daemon must start")
-}
-
-fn shutdown(handle: ServeHandle) {
-    let mut client =
-        ServeClient::connect_retry(handle.socket_path(), Duration::from_secs(5)).unwrap();
-    assert_eq!(client.call(&Request::Shutdown).unwrap(), Response::Ok);
-    handle.wait();
-}
-
-fn daemon_stats(socket: &Path) -> MetricsSnapshot {
-    let mut client = ServeClient::connect_retry(socket, Duration::from_secs(5)).unwrap();
-    match client.call(&Request::Stats).unwrap() {
-        Response::StatsJson(json) => MetricsSnapshot::from_json(&json),
-        other => panic!("unexpected stats response {other:?}"),
-    }
+    HostedDaemon::in_process(cfg, dir, chaos_serve_cfg(), socket).expect("daemon must start")
 }
 
 fn chaos_bench_cfg(corrupt_dir: PathBuf) -> BenchConfig {
@@ -85,9 +55,14 @@ fn chaos_plan_is_survived_and_reproducible() {
     let mut jsons = Vec::new();
     for run in 0..2 {
         let socket = std::env::temp_dir().join(format!("lahd_serve_e2e_chaos_{run}.sock"));
-        let handle = start_daemon(&socket);
+        let daemon = start_daemon(&socket);
         let summary = run_bench(&socket, dir, &bench).expect("bench must complete");
         let chaos = summary.chaos.expect("chaos phase ran");
+        assert!(
+            chaos.prechaos_distinct_actions >= 2,
+            "a one-action pre-chaos window pins nothing: {}",
+            chaos.to_json()
+        );
 
         assert_eq!(
             chaos.requests, chaos.responses,
@@ -106,7 +81,7 @@ fn chaos_plan_is_survived_and_reproducible() {
             "expired work answered from fallback"
         );
 
-        let stats = daemon_stats(&socket);
+        let stats = daemon.stats().unwrap();
         assert!(stats.panics >= 1, "the injected crash was caught");
         assert!(stats.restarts >= 1, "the worker restarted");
         assert!(stats.reloads_rejected >= 1);
@@ -115,7 +90,7 @@ fn chaos_plan_is_survived_and_reproducible() {
         assert!(stats.deadline_misses >= 1);
 
         jsons.push(chaos.to_json());
-        shutdown(handle);
+        assert!(daemon.shutdown().unwrap());
     }
     assert_eq!(
         jsons[0], jsons[1],
@@ -137,17 +112,18 @@ fn healthy_lockstep_runs_are_deterministic_and_fully_guarded() {
     let mut jsons = Vec::new();
     for run in 0..2 {
         let socket = std::env::temp_dir().join(format!("lahd_serve_e2e_clean_{run}.sock"));
-        let handle = start_daemon(&socket);
+        let daemon = start_daemon(&socket);
         let summary = run_bench(&socket, dir, &bench).unwrap();
         let chaos = summary.chaos.unwrap();
         assert_eq!(chaos.requests, 6 * 16);
         assert_eq!(chaos.responses, chaos.requests);
-        let stats = daemon_stats(&socket);
+        assert!(chaos.prechaos_distinct_actions >= 2, "{}", chaos.to_json());
+        let stats = daemon.stats().unwrap();
         assert_eq!(stats.shed, 0, "no shedding under lockstep load");
         assert_eq!(stats.panics, 0);
         assert_eq!(stats.served, chaos.requests);
         jsons.push(chaos.to_json());
-        shutdown(handle);
+        assert!(daemon.shutdown().unwrap());
     }
     assert_eq!(jsons[0], jsons[1]);
 }
@@ -156,7 +132,7 @@ fn healthy_lockstep_runs_are_deterministic_and_fully_guarded() {
 fn open_loop_perf_phase_reports_latency_and_throughput() {
     let (_, dir) = artifacts();
     let socket = std::env::temp_dir().join("lahd_serve_e2e_perf.sock");
-    let handle = start_daemon(&socket);
+    let daemon = start_daemon(&socket);
     let bench = BenchConfig {
         streams: 4,
         rounds: 0,
@@ -173,15 +149,15 @@ fn open_loop_perf_phase_reports_latency_and_throughput() {
     assert!(perf.p50_ns > 0 && perf.p50_ns <= perf.p99_ns);
     assert!(perf.p99_ns <= perf.p999_ns);
     assert_eq!(summary.bench_rows().len(), 4);
-    shutdown(handle);
+    assert!(daemon.shutdown().unwrap());
 }
 
 #[test]
 fn sound_hot_reload_swaps_the_generation_and_keeps_serving() {
     let (_, dir) = artifacts();
     let socket = std::env::temp_dir().join("lahd_serve_e2e_reload.sock");
-    let handle = start_daemon(&socket);
-    let mut client = ServeClient::connect_retry(&socket, Duration::from_secs(5)).unwrap();
+    let daemon = start_daemon(&socket);
+    let mut client = daemon.connect().unwrap();
 
     // A valid candidate (the serving directory itself) must be accepted.
     match client
@@ -210,20 +186,19 @@ fn sound_hot_reload_swaps_the_generation_and_keeps_serving() {
         "got {resp:?}"
     );
 
-    let stats = daemon_stats(&socket);
+    let stats = daemon.stats().unwrap();
     assert_eq!(stats.generation, 2);
     assert_eq!(stats.reloads_ok, 1);
-    shutdown(handle);
+    assert!(daemon.shutdown().unwrap());
 }
 
 #[test]
 fn malformed_and_chaos_requests_get_typed_errors() {
-    let (_, dir) = artifacts();
+    let (cfg, dir) = artifacts();
     let socket = std::env::temp_dir().join("lahd_serve_e2e_errors.sock");
     // Chaos disabled here: injection must be refused.
-    let (cfg, _) = artifacts();
-    let handle = serve_dir(cfg, dir, ServeConfig::default(), &socket).unwrap();
-    let mut client = ServeClient::connect_retry(&socket, Duration::from_secs(5)).unwrap();
+    let daemon = HostedDaemon::in_process(cfg, dir, ServeConfig::default(), &socket).unwrap();
+    let mut client = daemon.connect().unwrap();
 
     match client.call(&Request::Crash { shard: 0 }).unwrap() {
         Response::Err(msg) => assert!(msg.contains("disabled"), "{msg}"),
@@ -252,8 +227,8 @@ fn malformed_and_chaos_requests_get_typed_errors() {
         Response::Err(msg) => assert!(msg.contains("rejected"), "{msg}"),
         other => panic!("missing dir must be rejected: {other:?}"),
     }
-    let stats = daemon_stats(&socket);
+    let stats = daemon.stats().unwrap();
     assert_eq!(stats.generation, 1);
     assert_eq!(stats.reloads_rejected, 1);
-    shutdown(handle);
+    assert!(daemon.shutdown().unwrap());
 }

@@ -9,33 +9,19 @@
 //! hibernate every idle stream every tick; and a full chaos plan on the
 //! hibernating daemon whose same-seed summary stays byte-identical.
 
-use std::path::PathBuf;
-use std::sync::OnceLock;
-use std::time::Duration;
+mod common;
 
-use lahd_core::{save_artifacts, Pipeline, PipelineConfig};
+use std::sync::OnceLock;
+
+use common::artifacts;
 use lahd_fsm::CompiledCursor;
 use lahd_serve::{
-    load_profile, prepare_corrupt_candidate, run_bench, run_streams_sweep, serve_dir, BenchConfig,
-    ChaosPlan, CompactStream, HibernationArena, MetricsSnapshot, Request, Response, ServeBundle,
-    ServeClient, ServeConfig, ServeHandle,
+    load_profile, lockstep_round, prepare_corrupt_candidate, run_bench, run_streams_sweep,
+    BenchConfig, ChaosPlan, CompactStream, HibernationArena, HostedDaemon, ServeBundle,
+    ServeConfig,
 };
 use proptest::collection;
 use proptest::prelude::*;
-
-/// Train the tiny pipeline once per process; every test serves from it.
-fn artifacts() -> &'static (PipelineConfig, PathBuf) {
-    static ARTIFACTS: OnceLock<(PipelineConfig, PathBuf)> = OnceLock::new();
-    ARTIFACTS.get_or_init(|| {
-        let cfg = PipelineConfig::tiny();
-        let produced = Pipeline::new(cfg.clone()).run();
-        let dir = std::env::temp_dir().join("lahd_serve_lifecycle_artifacts");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        save_artifacts(&produced, &dir).unwrap();
-        (cfg, dir)
-    })
-}
 
 fn bundle() -> &'static ServeBundle {
     static BUNDLE: OnceLock<ServeBundle> = OnceLock::new();
@@ -57,13 +43,6 @@ fn hibernating_cfg(allow_chaos: bool) -> ServeConfig {
         allow_chaos,
         ..ServeConfig::default()
     }
-}
-
-fn shutdown(handle: ServeHandle) {
-    let mut client =
-        ServeClient::connect_retry(handle.socket_path(), Duration::from_secs(5)).unwrap();
-    assert_eq!(client.call(&Request::Shutdown).unwrap(), Response::Ok);
-    handle.wait();
 }
 
 proptest! {
@@ -134,15 +113,16 @@ fn forced_hibernation_is_action_identical_to_default_daemon() {
     ] {
         let socket = std::env::temp_dir().join(format!("lahd_lifecycle_{name}.sock"));
         let (pcfg, _) = artifacts();
-        let handle = serve_dir(pcfg, dir, cfg, &socket).unwrap();
+        let daemon = HostedDaemon::in_process(pcfg, dir, cfg, &socket).unwrap();
         let summary = run_bench(&socket, dir, &bench).unwrap();
         let chaos = summary.chaos.expect("lockstep phase ran");
         assert_eq!(
             chaos.responses, chaos.requests,
             "{name} answered everything"
         );
+        assert!(chaos.prechaos_distinct_actions >= 2, "{}", chaos.to_json());
         jsons.push(chaos.to_json());
-        shutdown(handle);
+        assert!(daemon.shutdown().unwrap());
     }
     // The summary folds an FNV checksum over every served action, so this
     // equality is the hibernate/wake action-equivalence pin.
@@ -169,12 +149,13 @@ fn chaos_plan_on_hibernating_daemon_is_survived_and_reproducible() {
     let mut jsons = Vec::new();
     for run in 0..2 {
         let socket = std::env::temp_dir().join(format!("lahd_lifecycle_chaos_{run}.sock"));
-        let handle = serve_dir(pcfg, dir, hibernating_cfg(true), &socket).unwrap();
+        let daemon = HostedDaemon::in_process(pcfg, dir, hibernating_cfg(true), &socket).unwrap();
         let summary = run_bench(&socket, dir, &bench).unwrap();
         let chaos = summary.chaos.expect("chaos phase ran");
         assert!(chaos.all_good(), "plan survived with hibernation forced");
+        assert!(chaos.prechaos_distinct_actions >= 2, "{}", chaos.to_json());
         jsons.push(chaos.to_json());
-        shutdown(handle);
+        assert!(daemon.shutdown().unwrap());
     }
     assert_eq!(
         jsons[0], jsons[1],
@@ -191,78 +172,43 @@ fn chaos_plan_on_hibernating_daemon_is_survived_and_reproducible() {
 fn durable_restart_resumes_streams_bit_identically() {
     let (pcfg, dir) = artifacts();
     let profile = load_profile(dir).unwrap();
-    let streams = 12u64;
+    let (streams, seed) = (12u64, 5u64);
     let (warm_rounds, probe_rounds) = (5u64, 5u64);
-
-    // Deterministic in-band observation for `(stream, round)`.
-    let obs = |stream: u64, round: u64| -> Vec<f32> {
-        profile
-            .dims
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let (lo, hi) = (d.p25 as f32, d.p75 as f32);
-                let frac = ((stream * 31 + round * 17 + i as u64 * 7) % 97) as f32 / 96.0;
-                if hi > lo {
-                    lo + (hi - lo) * frac
-                } else {
-                    lo
-                }
+    // One lockstep window; returns every action in (round, stream) order.
+    let drive = |daemon: &HostedDaemon, rounds: std::ops::Range<u64>| -> Vec<u16> {
+        let mut client = daemon.connect().unwrap();
+        rounds
+            .flat_map(|round| {
+                lockstep_round(&mut client, &profile, seed, streams, round, streams).unwrap()
             })
+            .map(|(action, _, _)| action)
             .collect()
     };
-    // One lockstep window; returns every action in (round, stream) order.
-    let drive = |client: &mut ServeClient, from: u64, to: u64| -> Vec<u16> {
-        let mut actions = Vec::new();
-        for round in from..to {
-            for stream in 0..streams {
-                client
-                    .send(&Request::Decide {
-                        req_id: (round << 24) | stream,
-                        stream,
-                        deadline_us: 0,
-                        obs: obs(stream, round),
-                    })
-                    .unwrap();
-            }
-            let mut got = std::collections::HashMap::new();
-            while got.len() < streams as usize {
-                match client.recv().unwrap() {
-                    Response::Decision { req_id, action, .. } => {
-                        got.insert(req_id, action);
-                    }
-                    other => panic!("unexpected response {other:?}"),
-                }
-            }
-            for stream in 0..streams {
-                actions.push(got[&((round << 24) | stream)]);
-            }
-        }
-        actions
-    };
-    let stats = |client: &mut ServeClient| -> MetricsSnapshot {
-        match client.call(&Request::Stats).unwrap() {
-            Response::StatsJson(json) => MetricsSnapshot::from_json(&json),
-            other => panic!("unexpected stats response {other:?}"),
-        }
+    let start = |name: &str, cfg: ServeConfig| {
+        let socket = std::env::temp_dir().join(format!("lahd_lifecycle_durable_{name}.sock"));
+        HostedDaemon::in_process(pcfg, dir, cfg, &socket).unwrap()
     };
 
     // Reference: one daemon, no persistence, never interrupted.
     let expected = {
-        let socket = std::env::temp_dir().join("lahd_lifecycle_durable_ref.sock");
         let cfg = ServeConfig {
             shards: 2,
             audit_every: 0,
             ..ServeConfig::default()
         };
-        let handle = serve_dir(pcfg, dir, cfg, &socket).unwrap();
-        let mut client = ServeClient::connect_retry(&socket, Duration::from_secs(5)).unwrap();
-        drive(&mut client, 0, warm_rounds);
-        let expected = drive(&mut client, warm_rounds, warm_rounds + probe_rounds);
-        drop(client);
-        shutdown(handle);
+        let daemon = start("ref", cfg);
+        drive(&daemon, 0..warm_rounds);
+        let expected = drive(&daemon, warm_rounds..warm_rounds + probe_rounds);
+        assert!(daemon.shutdown().unwrap());
         expected
     };
+    let mut distinct = expected.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert!(
+        distinct.len() >= 2,
+        "a one-action probe window pins nothing: {distinct:?}"
+    );
 
     // Durable daemon in drain-only mode (checkpoint_every 0): the only
     // checkpoint is the one graceful shutdown writes.
@@ -276,31 +222,25 @@ fn durable_restart_resumes_streams_bit_identically() {
         checkpoint_every: 0,
         ..ServeConfig::default()
     };
-    {
-        let socket = std::env::temp_dir().join("lahd_lifecycle_durable_warm.sock");
-        let handle = serve_dir(pcfg, dir, durable.clone(), &socket).unwrap();
-        let mut client = ServeClient::connect_retry(&socket, Duration::from_secs(5)).unwrap();
-        drive(&mut client, 0, warm_rounds);
-        drop(client);
-        shutdown(handle);
-    }
+    let daemon = start("warm", durable.clone());
+    drive(&daemon, 0..warm_rounds);
+    assert!(daemon.shutdown().unwrap());
     // Restart over the drained state and serve the probe window.
-    let socket = std::env::temp_dir().join("lahd_lifecycle_durable_recover.sock");
-    let recovering = ServeConfig {
-        recover: true,
-        ..durable
-    };
-    let handle = serve_dir(pcfg, dir, recovering, &socket).unwrap();
-    let mut client = ServeClient::connect_retry(&socket, Duration::from_secs(5)).unwrap();
-    let resumed = drive(&mut client, warm_rounds, warm_rounds + probe_rounds);
-    let snap = stats(&mut client);
+    let daemon = start(
+        "recover",
+        ServeConfig {
+            recover: true,
+            ..durable
+        },
+    );
+    let resumed = drive(&daemon, warm_rounds..warm_rounds + probe_rounds);
+    let snap = daemon.stats().unwrap();
     assert_eq!(
         snap.recovered_streams, streams,
         "every warm stream must come back from durable state"
     );
     assert_eq!(snap.quarantined_records, 0, "clean shutdown, clean scan");
-    drop(client);
-    shutdown(handle);
+    assert!(daemon.shutdown().unwrap());
     assert_eq!(
         resumed, expected,
         "recovered streams must serve byte-identical actions"

@@ -26,20 +26,24 @@
 #    log) — the drift detector or the fallback state machine rotting fails
 #    verification, not just a unit suite.
 # 7. Serving gate: a self-hosted `lahd serve-bench --chaos` run over tiny
-#    artifacts (shard kill + burst + corrupt hot reload must all be
+#    seed-22 artifacts (shard kill + burst + corrupt hot reload must all be
 #    survived with the old generation still serving) whose per-tier
-#    decision counts must show the compiled FSM tier serving; a
+#    decision counts must show the compiled FSM tier serving and whose
+#    checksummed pre-chaos window must hold at least two distinct actions
+#    (seed 22's machine does; the default seed's answers one action
+#    everywhere, which a daemon that lost every cursor would match); a
 #    100k-stream sweep that must admit ≥99% of streams within the
 #    ≤256 B/stream live-heap budget (LAHD_SWEEP_BYTES_BUDGET) and a
 #    coarse RSS ceiling (LAHD_SWEEP_RSS_MB); then an external
 #    `lahd serve` process driven over its Unix socket and shut down via
 #    a protocol request — the daemon must exit 0.
-# 8. Durability gates: a clean `lahd serve-drill` (SIGKILL a durable
-#    daemon after a quiescent checkpoint, restart with --recover, compare
-#    action checksums against an uninterrupted reference — ≥99% of streams
-#    must resume bit-identically) and a `--corrupt` drill (seeded torn
-#    tail + bit flip + duplicated journal record must be quarantined with
-#    a clean exit, never a panic).
+# 8. Durability gates, on the same seed-22 artifacts: a clean
+#    `lahd serve-drill` (SIGKILL a durable daemon after a quiescent
+#    checkpoint, restart with --recover, compare action checksums against
+#    an uninterrupted reference — ≥99% of streams must resume
+#    bit-identically over a window of at least two distinct actions) and a
+#    `--corrupt` drill (seeded torn tail + bit flip + duplicated journal
+#    record must be quarantined with a clean exit, never a panic).
 # 9. Quick-mode bench snapshot compared against the latest committed
 #    BENCH_<n>.json with a loose 50% threshold, so a hot-path regression
 #    fails verification instead of only surfacing in the next snapshot.
@@ -63,6 +67,11 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+echo "== benchmark build: cargo check perfbench against the workspace crates"
+# perfbench/ is its own package built against lahd-serve's public API, so
+# an API change that breaks the benchmark fails here, not in a later run.
+CARGO_TARGET_DIR=target cargo check --manifest-path perfbench/Cargo.toml
 
 echo "== feature gate: cargo build --release --features simd"
 cargo build --release --features simd
@@ -100,18 +109,27 @@ if ! grep -q "fallen-back" <<<"$guard_out"; then
     exit 1
 fi
 echo "== serving gate: self-hosted chaos plan must be survived"
+serve_arts="$smoke_dir/serve-seed22"
+"$lahd_bin" pipeline --scale tiny --seed 22 --out "$serve_arts" >/dev/null
 # Kill a shard mid-run, burst 10x the steady rate into a held shard, and
 # offer a corrupt hot-reload candidate; serve-bench exits non-zero unless
 # the daemon caught the panic, restarted the worker, shed (not dropped)
 # the burst, answered expired work from the fallback tier, and kept the
 # old artifact generation serving after rejecting the corrupt bundle.
-serve_out="$("$lahd_bin" serve-bench --scale tiny \
-    --artifacts "$smoke_dir/dorado-migration" \
+chaos_json="$smoke_dir/chaos.json"
+serve_out="$("$lahd_bin" serve-bench --scale tiny --seed 22 \
+    --artifacts "$serve_arts" \
     --streams 4 --rounds 12 --requests 1000 --chaos \
-    --shards 2 --queue-capacity 16)"
+    --shards 2 --queue-capacity 16 --json "$chaos_json")"
 if ! grep -q "chaos plan SURVIVED" <<<"$serve_out"; then
     echo "serve-bench chaos plan did not report survival:"
     echo "$serve_out"
+    exit 1
+fi
+prechaos_actions="$(sed -n 's/.*"prechaos_distinct_actions":\([0-9][0-9]*\).*/\1/p' "$chaos_json")"
+if [ "${prechaos_actions:-0}" -lt 2 ]; then
+    echo "chaos pre-chaos window held ${prechaos_actions:-0} distinct action(s); its checksum pins nothing:"
+    cat "$chaos_json"
     exit 1
 fi
 # Compiled-tier smoke: healthy streams ride rung 0 (the compiled FSM), so
@@ -176,10 +194,11 @@ echo "== durability gate: clean crash-restart drill (SIGKILL -> --recover)"
 # A durable daemon is SIGKILLed mid-load after a quiescent checkpoint and
 # restarted with --recover; it must resume >=99% of streams and serve the
 # post-crash rounds action-checksum-identically to an uninterrupted
-# reference daemon (serve-drill exits non-zero otherwise).
+# reference daemon, over at least two distinct actions (serve-drill exits
+# non-zero otherwise).
 drill_json="$smoke_dir/drill.json"
-drill_out="$("$lahd_bin" serve-drill --scale tiny \
-    --artifacts "$smoke_dir/dorado-migration" \
+drill_out="$("$lahd_bin" serve-drill --scale tiny --seed 22 \
+    --artifacts "$serve_arts" \
     --streams 16 --rounds-before 4 --rounds-after 4 --shards 2 \
     --json "$drill_json")"
 if ! grep -q "clean drill SURVIVED" <<<"$drill_out"; then
@@ -198,8 +217,8 @@ echo "== durability gate: corrupt-state drill (torn tail + bit flip + dup journa
 # Seeded disk faults land between kill and restart; recovery must
 # quarantine the damaged records (counted, never panicking) and the
 # daemon must still drain and exit 0.
-drill_out="$("$lahd_bin" serve-drill --scale tiny \
-    --artifacts "$smoke_dir/dorado-migration" \
+drill_out="$("$lahd_bin" serve-drill --scale tiny --seed 22 \
+    --artifacts "$serve_arts" \
     --streams 16 --rounds-before 4 --rounds-after 4 --shards 2 \
     --corrupt --json "$drill_json")"
 if ! grep -q "corrupt drill SURVIVED" <<<"$drill_out"; then
