@@ -181,59 +181,6 @@ pub fn evaluate_policy(
         .collect()
 }
 
-/// Parallel variant of [`evaluate_policy`] for large trace sets (e.g. the
-/// paper-scale 50 real traces): `factory` builds one fresh policy instance
-/// per worker thread, and traces are split across up to 8 threads. Results
-/// come back in trace order, with the same per-trace seeds as the
-/// sequential version, so the two are interchangeable.
-pub fn evaluate_policy_parallel<P, F>(
-    factory: F,
-    cfg: &SimConfig,
-    traces: &[WorkloadTrace],
-    base_seed: u64,
-) -> Vec<EpisodeMetrics>
-where
-    P: Policy,
-    F: Fn() -> P + Sync,
-{
-    if traces.is_empty() {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(8)
-        .min(traces.len());
-    let chunk_size = traces.len().div_ceil(threads);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_idx, chunk) in traces.chunks(chunk_size).enumerate() {
-            let factory = &factory;
-            handles.push(scope.spawn(move || {
-                let mut policy = factory();
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, trace)| {
-                        let trace_idx = chunk_idx * chunk_size + i;
-                        policy.reset();
-                        let mut sim = StorageSim::new(
-                            cfg.clone(),
-                            trace.clone(),
-                            base_seed.wrapping_add(trace_idx as u64),
-                        );
-                        sim.run_with(|obs| policy.act(obs))
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("evaluation worker panicked"))
-            .collect()
-    })
-}
-
 /// The Figure 4 comparison: per-trace makespans for a set of policies.
 #[derive(Clone, Debug)]
 pub struct Comparison {
@@ -413,28 +360,6 @@ mod tests {
         assert_eq!(c.policy_names, vec!["ra-off", "ra-max", "seq-share"]);
         assert_eq!(c.makespans.len(), 1);
         assert!(c.makespans[0].iter().all(|&k| k >= 20));
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let cfg = cfg();
-        let mut traces = traces();
-        // A couple more traces so the split actually exercises chunking.
-        traces.extend(traces.clone());
-        traces.extend(traces.clone());
-        let mut sequential_policy = HandcraftedFsm::tuned();
-        let sequential = evaluate_policy(&mut sequential_policy, &cfg, &traces, 42);
-        let parallel = evaluate_policy_parallel(HandcraftedFsm::tuned, &cfg, &traces, 42);
-        assert_eq!(sequential.len(), parallel.len());
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.makespan, p.makespan);
-            assert_eq!(s.migrations, p.migrations);
-        }
-    }
-
-    #[test]
-    fn parallel_evaluation_of_empty_set_is_empty() {
-        assert!(evaluate_policy_parallel(HandcraftedFsm::tuned, &cfg(), &[], 0).is_empty());
     }
 
     #[test]

@@ -42,10 +42,7 @@ mod scenario;
 pub use args::Args;
 pub use artifacts::{load_artifacts, load_artifacts_checked, save_artifacts, ArtifactError};
 pub use env::{RewardMode, StorageEnv};
-pub use eval::{
-    evaluate_policy, evaluate_policy_parallel, evaluate_vec_policy, Comparison, GruPolicy,
-    GruVecPolicy,
-};
+pub use eval::{evaluate_policy, evaluate_vec_policy, Comparison, GruPolicy, GruVecPolicy};
 pub use explain::explain_fsm;
 pub use guard_eval::{build_ladder, guard_eval, resolve_baseline, GuardEvalConfig, SHADOW_TIER};
 pub use oracle::{best_static_allocation, OracleResult};

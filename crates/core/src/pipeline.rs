@@ -62,9 +62,11 @@ pub struct PipelineConfig {
     /// Precision of the packed inference engines on the decision paths:
     /// training rollouts (`A2cTrainer`'s engine) and the deployed QBN
     /// encode/decode packs in the produced artifacts. The default
-    /// [`Precision::Exact`] keeps every path bit-identical to the unpacked
-    /// arithmetic; [`Precision::QuantizedFast`] runs the i8 fast tier under
-    /// its measured accuracy contract (CLI: `--infer-precision`).
+    /// [`Precision::Exact`](lahd_nn::Precision::Exact) keeps every path
+    /// bit-identical to the unpacked arithmetic;
+    /// [`Precision::QuantizedFast`](lahd_nn::Precision::QuantizedFast) runs
+    /// the i8 fast tier under its measured accuracy contract (CLI:
+    /// `--infer-precision`).
     pub infer_precision: lahd_nn::Precision,
     /// Master seed.
     pub seed: u64,

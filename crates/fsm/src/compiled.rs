@@ -84,7 +84,7 @@ pub struct CompiledScratch {
 }
 
 /// Caller-owned scratch for [`CompiledFsm::step_batch`]: fixed
-/// [`BATCH_CHUNK`]-row staging matrices for the SoA batched encode.
+/// `BATCH_CHUNK`-row (8-row) staging matrices for the SoA batched encode.
 pub struct BatchScratch {
     x: Matrix,
     h: Matrix,
@@ -274,7 +274,7 @@ impl CompiledFsm {
         self.resolve(v, key, state)
     }
 
-    /// Batched decisions: runs the QBN encode over [`BATCH_CHUNK`]-row SoA
+    /// Batched decisions: runs the QBN encode over `BATCH_CHUNK`-row SoA
     /// chunks (amortising weight traffic across streams) and resolves each
     /// row against its own cursor state from `states`. Appends one outcome
     /// per observation to `out` in order. Results are bit-identical to

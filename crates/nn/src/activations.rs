@@ -47,7 +47,7 @@ const B4: f32 = 1.185_347e-4;
 const B6: f32 = 1.198_258_4e-6;
 
 /// Branch-free rational approximation of `tanh` (max abs error < 4e-7; see
-/// the [module docs](self)).
+/// the `activations` module docs).
 #[inline]
 pub fn tanh_approx(x: f32) -> f32 {
     let x = x.clamp(-TANH_CLAMP, TANH_CLAMP);

@@ -72,7 +72,7 @@ fn assert_fresh(kind: &str, packed_version: u64, store: &ParamStore) {
 }
 
 /// A [`Linear`] layer with its weight matrix packed for `1×D` inference,
-/// in the precision chosen at construction (see the [module docs](self)).
+/// in the precision chosen at construction (see the `packed` module docs).
 #[derive(Clone, Debug)]
 pub struct PackedLinear {
     layer: Linear,
@@ -134,7 +134,7 @@ impl PackedLinear {
     }
 
     /// Packed counterpart of [`Linear::infer_into`]; bit-identical on the
-    /// scalar build (see the [module docs](self)).
+    /// scalar build (see the `packed` module docs).
     ///
     /// # Panics
     /// Panics on shape mismatches or if the store's values changed since
@@ -292,7 +292,7 @@ impl PackedGru {
     }
 
     /// Packed counterpart of [`GruCell::infer_step_into`]; bit-identical on
-    /// the scalar build for every batch size (see the [module docs](self)).
+    /// the scalar build for every batch size (see the `packed` module docs).
     ///
     /// # Panics
     /// Panics on shape mismatches or if the store's values changed since

@@ -679,11 +679,11 @@ pub fn run_streams_sweep(
                     .count() as u64
             })
         };
-        stats(&mut control)?; // settle: daemon + sidecar up
+        stats(&mut control)?; // settle: daemon up, control connection open
         let live0 = crate::live_bytes();
         let rss0 = crate::rss_bytes();
         let shed_warm = shed_in_round(0)?;
-        let snap = stats(&mut control)?; // sync barrier: exact gauges
+        let snap = stats(&mut control)?; // exact: the round's replies are in
         let live1 = crate::live_bytes();
         let rss1 = crate::rss_bytes();
         let start = Instant::now();

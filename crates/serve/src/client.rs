@@ -69,9 +69,9 @@ impl ServeClient {
         self.recv()
     }
 
-    /// One [`Request::Stats`] round trip, parsed. The daemon syncs its
-    /// telemetry before answering, so every decision this process has
-    /// already received a reply for is counted.
+    /// One [`Request::Stats`] round trip, parsed. Each shard counts a
+    /// batch in its stats slot before sending the batch's replies, so every
+    /// decision this process has already received a reply for is counted.
     pub fn stats(&mut self) -> std::io::Result<MetricsSnapshot> {
         match self.call(&Request::Stats)? {
             Response::StatsJson(json) => Ok(MetricsSnapshot::from_json(&json)),

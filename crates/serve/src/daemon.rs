@@ -26,7 +26,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,10 +34,9 @@ use lahd_core::PipelineConfig;
 use lahd_fsm::VecPolicy;
 
 use crate::bundle::ServeBundle;
-use crate::metrics::{render_stats_json, ServeMetrics};
+use crate::metrics::{MetricsSnapshot, ServeMetrics, ShardStats};
 use crate::protocol::{read_frame, write_frame, Request, Response, Source};
 use crate::shard::{run_shard, ShardMsg, TIER_BASELINE};
-use crate::telemetry::{run_aggregator, telemetry_channel, TelemetryHub};
 
 /// `try_send` retries before a request is shed.
 const ADMISSION_RETRIES: u32 = 2;
@@ -132,15 +131,12 @@ pub struct SharedState {
     pub bundle: Mutex<Arc<ServeBundle>>,
     /// Bundle generation; bumps on every accepted reload.
     pub generation: AtomicU64,
-    /// Daemon-wide off-path counters (decision-path counters travel
-    /// through `telemetry`).
+    /// The counters connection threads write.
     pub metrics: ServeMetrics,
-    /// The telemetry sidecar's shard-facing half: shards flush deltas
-    /// through it, the stats endpoint syncs snapshots from it.
-    pub telemetry: TelemetryHub,
-    /// Set once; every loop drains and exits. (`Arc` so the aggregator
-    /// thread can hold it past the daemon's lifetime edge cases.)
-    pub shutdown: Arc<AtomicBool>,
+    /// One stats slot per shard, written only by that shard.
+    pub(crate) stats: Vec<Mutex<ShardStats>>,
+    /// Set once; every loop drains and exits.
+    pub shutdown: AtomicBool,
     /// Per-shard one-shot recovery latches: `true` until the shard's first
     /// boot consumes it via [`SharedState::take_recover`].
     pub recover_shards: Vec<AtomicBool>,
@@ -155,6 +151,31 @@ impl SharedState {
         self.recover_shards
             .get(shard)
             .is_some_and(|latch| latch.swap(false, Ordering::AcqRel))
+    }
+
+    /// Locks shard `shard`'s stats slot. A slot holds plain counters, so a
+    /// lock poisoned by a panicking holder is still read and written.
+    pub(crate) fn slot(&self, shard: usize) -> MutexGuard<'_, ShardStats> {
+        self.stats[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sums every shard slot, locking one at a time, with the connection
+    /// counters. A shard folds a batch's counts into its slot before it
+    /// sends that batch's replies, so the snapshot counts every decision
+    /// whose reply any client received before this call.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let mut totals = ShardStats::default();
+        for shard in 0..self.stats.len() {
+            totals.add(&self.slot(shard));
+        }
+        MetricsSnapshot::new(
+            self.generation.load(Ordering::Acquire),
+            self.stats.len(),
+            &self.metrics,
+            &totals,
+        )
     }
 }
 
@@ -174,7 +195,6 @@ pub struct ServeHandle {
     socket: PathBuf,
     acceptor: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
-    aggregator: Option<JoinHandle<()>>,
 }
 
 impl ServeHandle {
@@ -189,20 +209,14 @@ impl ServeHandle {
         self.shared.shutdown.store(true, Ordering::Release);
     }
 
-    /// Blocks until the acceptor, every shard worker, and the telemetry
-    /// aggregator have exited, then removes the socket file.
+    /// Blocks until the acceptor and every shard worker have exited, then
+    /// removes the socket file.
     pub fn wait(mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         for handle in self.shards.drain(..) {
             let _ = handle.join();
-        }
-        // Shards are gone, so no more deltas; let the aggregator see the
-        // flag on its next idle interval.
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(aggregator) = self.aggregator.take() {
-            let _ = aggregator.join();
         }
         let _ = std::fs::remove_file(&self.socket);
     }
@@ -220,29 +234,17 @@ pub fn serve(
     let listener = UnixListener::bind(socket)?;
     listener.set_nonblocking(true)?;
 
-    // Sidecar channel sized a few deltas per shard: shards defer (never
-    // block, never drop) on transient fullness.
-    let (telemetry, telemetry_rx) = telemetry_channel(cfg.shards * 4);
-    let shutdown = Arc::new(AtomicBool::new(false));
     let recover = cfg.recover && cfg.state_dir.is_some();
     let shared = Arc::new(SharedState {
         recover_shards: (0..cfg.shards).map(|_| AtomicBool::new(recover)).collect(),
+        stats: (0..cfg.shards).map(|_| Mutex::default()).collect(),
         cfg: cfg.clone(),
         pipeline_cfg,
         bundle: Mutex::new(Arc::new(bundle)),
         generation: AtomicU64::new(1),
         metrics: ServeMetrics::default(),
-        telemetry: telemetry.clone(),
-        shutdown: shutdown.clone(),
+        shutdown: AtomicBool::new(false),
     });
-
-    let aggregator = {
-        let hub = telemetry.clone();
-        let shards = cfg.shards;
-        std::thread::Builder::new()
-            .name("lahd-telemetry".to_string())
-            .spawn(move || run_aggregator(telemetry_rx, hub, shards, shutdown))?
-    };
 
     let mut senders = Vec::with_capacity(cfg.shards);
     let mut shards = Vec::with_capacity(cfg.shards);
@@ -270,7 +272,6 @@ pub fn serve(
         socket: socket.to_path_buf(),
         acceptor: Some(acceptor),
         shards,
-        aggregator: Some(aggregator),
     })
 }
 
@@ -332,6 +333,7 @@ fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSe
     // Built lazily from the current bundle; depends only on the scenario,
     // so it survives reloads.
     let mut shed_policy: Option<Box<dyn VecPolicy>> = None;
+    let mut shutdown = false;
     loop {
         let frame = match read_frame(&mut reader) {
             Ok(Some(frame)) => frame,
@@ -361,16 +363,7 @@ fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSe
                 obs,
             ),
             Request::Stats => {
-                // The sync is a read barrier: every delta a shard flushed
-                // before any reply this client has seen is merged first.
-                let snap = shared.telemetry.sync();
-                let gen = shared.generation.load(Ordering::Acquire);
-                let _ = tx_resp.send(Response::StatsJson(render_stats_json(
-                    gen,
-                    shared.cfg.shards,
-                    &shared.metrics,
-                    &snap,
-                )));
+                let _ = tx_resp.send(Response::StatsJson(shared.snapshot().to_json()));
             }
             Request::Reload { dir } => {
                 match ServeBundle::load(&shared.pipeline_cfg, Path::new(&dir)) {
@@ -387,8 +380,9 @@ fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSe
                 }
             }
             Request::Shutdown => {
-                shared.shutdown.store(true, Ordering::Release);
                 let _ = tx_resp.send(Response::Ok);
+                shutdown = true;
+                break;
             }
             Request::Ping => {
                 // Liveness probe: answered inline on the connection thread,
@@ -410,6 +404,12 @@ fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSe
     }
     drop(tx_resp);
     let _ = writer.join();
+    // Raised only after the writer has flushed this connection's replies,
+    // the acknowledgement included: once the shards drain, a `lahd serve`
+    // process exits, and a reply still queued would be lost with it.
+    if shutdown {
+        shared.shutdown.store(true, Ordering::Release);
+    }
 }
 
 fn chaos_send(

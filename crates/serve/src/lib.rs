@@ -5,9 +5,9 @@
 //! artifact; this crate is the always-on service around it. A daemon
 //! ([`serve`]/[`serve_dir`]) loads a validated artifact bundle
 //! ([`ServeBundle`]) and answers decision requests for many concurrent
-//! streams over a length-prefixed Unix-socket protocol ([`protocol`]),
-//! sharded across per-core worker threads — no async runtime, just
-//! bounded queues and `std` threads.
+//! streams over a length-prefixed Unix-socket protocol ([`Request`] and
+//! [`Response`] frames), sharded across per-core worker threads — no
+//! async runtime, just bounded queues and `std` threads.
 //!
 //! Each stream runs behind its own guarded tier ladder (extracted FSM →
 //! quantized-i8 net → exact net → scenario baseline, `lahd-guard`'s
@@ -35,6 +35,11 @@
 //!   bit-identically after a crash, truncating torn tails and
 //!   quarantining corrupt records instead of panicking.
 //!
+//! Every counter has one writer: each shard folds its counts into its own
+//! stats slot before it replies, connection threads bump [`ServeMetrics`],
+//! and a `Stats` request sums both into one typed [`MetricsSnapshot`],
+//! rendered and parsed by the same type.
+//!
 //! [`run_bench`] is the deterministic load + chaos harness behind
 //! `lahd serve-bench` (kill a shard, burst 10× load, offer a corrupt
 //! reload), whose chaos summary is byte-reproducible under a fixed seed;
@@ -55,7 +60,6 @@ pub mod persist;
 mod protocol;
 mod shard;
 mod stream_table;
-mod telemetry;
 
 pub use alloc::{live_bytes, rss_bytes, CountingAllocator};
 pub use bench::{
@@ -67,13 +71,9 @@ pub use bundle::ServeBundle;
 pub use client::ServeClient;
 pub use compact::{CompactStream, HibernationArena, REC_BYTES};
 pub use daemon::{serve, serve_dir, shard_of, ServeConfig, ServeHandle, SharedState};
-pub use metrics::{render_stats_json, LatencyHistogram, MetricsSnapshot, ServeMetrics};
+pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
 pub use protocol::{
     read_frame, write_frame, ProtoError, Request, Response, Source, MAGIC, MAX_FRAME,
 };
 pub use shard::{ShardMsg, TIER_BASELINE, TIER_EXACT, TIER_FSM, TIER_QUANT};
 pub use stream_table::{StreamRef, StreamSet, StreamTable};
-pub use telemetry::{
-    run_aggregator, telemetry_channel, ShardTelemetry, TelemetryHub, TelemetryMsg,
-    TelemetrySnapshot,
-};

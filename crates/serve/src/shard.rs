@@ -20,11 +20,13 @@
 //! [`HibernationArena`]; they rehydrate bit-identically on their next
 //! request (the round-trip property [`CompactStream`] pins).
 //!
-//! Telemetry is off-path: the shard accumulates counters in a plain
-//! [`ShardTelemetry`] and flushes deltas to the sidecar aggregator at
-//! batch boundaries, *before* sending the batch's replies — so any
-//! response a client observes is preceded by its delta in the channel
-//! (see [`crate::telemetry`] for why that makes stats reads exact).
+//! Stats stay off the decision path: the shard counts into a plain local
+//! [`ShardStats`] and folds it into its own slot in [`SharedState`] at
+//! batch boundaries, *before* sending the batch's replies, so any response
+//! a client observes is already counted when it asks for `Stats` (see
+//! [`crate::metrics`]). Gauges are stamped as absolute levels at every
+//! fold; rare events (recovery, checkpoints, persist errors, panics,
+//! restarts) go straight to the slot.
 //!
 //! Batches are capped *below* the blocked-GEMM row cutoff, where the
 //! packed layers run one GEMV per row (the FSM evaluator chunks its
@@ -37,8 +39,8 @@
 //! Robustness: the worker body runs under `catch_unwind`; a panic (a bug,
 //! or an injected [`ShardMsg::Crash`]) is counted, the thread restarts
 //! with exponential backoff, and the shard's streams are re-admitted with
-//! reset state (telemetry accumulated since the last flush is lost — the
-//! chaos harness asserts exact totals on pre-chaos rounds only). The
+//! reset state (what it counted since its last fold into the slot is
+//! lost, but every batch is folded before its replies go out). The
 //! queue lives *outside* the restart loop, so requests enqueued while the
 //! worker was down are served after recovery instead of being dropped.
 //! Expired deadlines are answered from the shard's fallback policy at
@@ -68,11 +70,10 @@ use lahd_tensor::Matrix;
 use crate::bundle::ServeBundle;
 use crate::compact::{CompactStream, HibernationArena, REC_BYTES};
 use crate::daemon::SharedState;
-use crate::metrics::ServeMetrics;
+use crate::metrics::ShardStats;
 use crate::persist::{self, ShardPersist};
 use crate::protocol::{Response, Source};
 use crate::stream_table::{StreamRef, StreamSet, StreamTable};
-use crate::telemetry::ShardTelemetry;
 
 /// Ladder tier indices, matching `lahd_core::build_ladder`.
 pub const TIER_FSM: usize = 0;
@@ -302,7 +303,7 @@ fn make_resident(
     }
 }
 
-/// A reply staged until the batch's telemetry delta is flushed.
+/// A reply staged until the batch's counts are in the shard's stats slot.
 struct Reply {
     to: Sender<Response>,
     resp: Response,
@@ -355,12 +356,10 @@ struct ShardState {
     compact_count: u64,
     /// Gauge: resident entries in the table.
     resident_count: u64,
-    /// Off-path telemetry accumulator (flushed at batch boundaries).
-    telemetry: ShardTelemetry,
-    /// Replies staged during the batch, sent after the telemetry flush.
+    /// Counts since the last fold into this shard's stats slot.
+    stats: ShardStats,
+    /// Replies staged during the batch, sent after the stats fold.
     replies: Vec<Reply>,
-    /// Whether gauges changed since the last successful flush.
-    gauges_dirty: bool,
     /// Durable-state writer (checkpoints + journal); `None` when the
     /// daemon runs without a state directory or its creation failed.
     persist: Option<ShardPersist>,
@@ -385,7 +384,7 @@ impl ShardState {
             match ShardPersist::create(dir, shard_index) {
                 Ok(p) => Some(p),
                 Err(_) => {
-                    ServeMetrics::bump(&shared.metrics.persist_errors);
+                    shared.slot(shard_index).persist_errors += 1;
                     None
                 }
             }
@@ -409,9 +408,8 @@ impl ShardState {
             audits_active: 0,
             compact_count: 0,
             resident_count: 0,
-            telemetry: ShardTelemetry::default(),
+            stats: ShardStats::default(),
             replies: Vec::new(),
-            gauges_dirty: true,
             persist,
         };
         // One-shot recovery latch: only the first boot with `--recover`
@@ -478,14 +476,10 @@ impl ShardState {
         // Recovery-internal evictions (capacity trims) are not journal
         // events; drop them so the next load's journal stays clean.
         self.arena.drain_evicted();
-        let resumed = self.streams.len() as u64 + self.arena.len() as u64;
-        let add = |c: &std::sync::atomic::AtomicU64, v: u64| {
-            c.fetch_add(v, Ordering::Relaxed);
-        };
-        add(&shared.metrics.recovered_streams, resumed);
-        add(&shared.metrics.quarantined_records, rec.quarantined);
-        add(&shared.metrics.journal_ops, journal_ops);
-        self.gauges_dirty = true;
+        let mut slot = shared.slot(self.shard_index);
+        slot.recovered_streams += self.streams.len() as u64 + self.arena.len() as u64;
+        slot.quarantined_records += rec.quarantined;
+        slot.journal_ops += journal_ops;
     }
 
     /// Batch-boundary reload check: when the daemon has published a newer
@@ -498,6 +492,7 @@ impl ShardState {
         if gen == self.generation {
             return;
         }
+        self.flush_stats(shared);
         *self = Self::fresh(self.shard_index, shared);
         // The old checkpoint's cursor state ids are meaningless against
         // the new machine: replace it with the (empty) post-swap truth so
@@ -517,9 +512,8 @@ impl ShardState {
         if self.streams.len() >= shared.cfg.max_streams {
             return None;
         }
-        self.gauges_dirty = true;
         if let Some(compact) = self.arena.wake(stream) {
-            self.telemetry.wakes += 1;
+            self.stats.wakes += 1;
             self.compact_count += 1;
             return Some(self.streams.insert(stream, StreamEntry::Compact(compact)));
         }
@@ -576,12 +570,11 @@ impl ShardState {
         *entry = StreamEntry::Resident(Box::new(resident));
         self.compact_count -= 1;
         self.resident_count += 1;
-        self.telemetry.materializations += 1;
+        self.stats.materializations += 1;
         if is_audit {
-            self.telemetry.audits += 1;
+            self.stats.audits += 1;
             self.audits_active += 1;
         }
-        self.gauges_dirty = true;
     }
 
     /// Releases a resident stream back to a compact record when it has
@@ -623,8 +616,7 @@ impl ShardState {
         if was_audit {
             self.audits_active = self.audits_active.saturating_sub(1);
         }
-        self.telemetry.releases += 1;
-        self.gauges_dirty = true;
+        self.stats.releases += 1;
     }
 
     /// Finishes one FSM-tier decision (batched or scalar): applies the
@@ -715,8 +707,8 @@ impl ShardState {
     /// go through one batched inference call per tier; everything else
     /// (demoted tiers, repeat requests for a stream already in the batch,
     /// expired deadlines) takes the scalar path, in arrival order per
-    /// stream. Replies are staged and sent only after the batch's
-    /// telemetry delta is flushed.
+    /// stream. Replies are staged and sent only after the batch's counts
+    /// are folded into the shard's stats slot.
     fn process_batch(&mut self, shared: &SharedState, batch: Vec<DecideReq>) {
         let now = Instant::now();
         let obs_dim = self.bundle.obs_dim();
@@ -737,7 +729,7 @@ impl ShardState {
             }
             if req.deadline.is_some_and(|d| now > d) {
                 let action = self.fallback.act_vec(&req.obs) as u16;
-                self.telemetry.deadline_misses += 1;
+                self.stats.deadline_misses += 1;
                 self.replies.push(Reply {
                     to: req.reply.clone(),
                     resp: Response::Decision {
@@ -764,7 +756,7 @@ impl ShardState {
         for (i, req) in live.iter().enumerate() {
             let Some(r) = self.admit(shared, req.stream) else {
                 let action = self.fallback.act_vec(&req.obs) as u16;
-                self.telemetry.shed += 1;
+                self.stats.shed += 1;
                 self.replies.push(Reply {
                     to: req.reply.clone(),
                     resp: Response::Decision {
@@ -947,18 +939,18 @@ impl ShardState {
         self.finish_replies(shared);
     }
 
-    /// Records latencies, flushes the telemetry delta, and only then sends
-    /// the staged replies — the flush-before-reply ordering the sidecar's
-    /// exactness argument rests on.
+    /// Records latencies, folds the batch's counts into the stats slot, and
+    /// only then sends the staged replies: the ordering that makes a
+    /// `Stats` answer count every reply a client already holds.
     fn finish_replies(&mut self, shared: &SharedState) {
         let end = Instant::now();
         for reply in &self.replies {
             if let Some((tier, enqueued)) = reply.served {
-                self.telemetry
+                self.stats
                     .record_served(tier, end.duration_since(enqueued).as_nanos() as u64);
             }
         }
-        self.flush_telemetry(shared);
+        self.flush_stats(shared);
         // Same ordering argument for durability: admits/evictions in this
         // batch hit the journal before any of its replies are observable.
         self.flush_persist(shared);
@@ -967,21 +959,17 @@ impl ShardState {
         }
     }
 
-    /// Stamps current gauges and attempts a sidecar flush. Gauges are
-    /// absolute levels the aggregator replaces per shard, so they must be
-    /// fresh on *every* delta; `gauges_dirty` only forces a flush when the
-    /// counters alone would not (gauge-only changes, e.g. a sweep).
-    fn flush_telemetry(&mut self, shared: &SharedState) {
-        self.telemetry.compact = self.compact_count;
-        self.telemetry.resident = self.resident_count;
-        self.telemetry.hibernated = self.arena.len() as u64;
-        self.telemetry.arena_bytes = self.arena.arena_bytes();
-        if shared
-            .telemetry
-            .flush(self.shard_index, &mut self.telemetry, self.gauges_dirty)
-        {
-            self.gauges_dirty = false;
-        }
+    /// Stamps the current gauges and folds the local counts into this
+    /// shard's stats slot (counters add, gauges replace), then starts a
+    /// fresh accumulator.
+    fn flush_stats(&mut self, shared: &SharedState) {
+        let local = &mut self.stats;
+        local.compact = self.compact_count;
+        local.resident = self.resident_count;
+        local.hibernated = self.arena.len() as u64;
+        local.arena_bytes = self.arena.arena_bytes();
+        shared.slot(self.shard_index).absorb(local);
+        *local = ShardStats::default();
     }
 
     /// Clock sweep: examine up to [`SWEEP_CHUNK`] slots and push idle
@@ -1028,23 +1016,22 @@ impl ShardState {
         };
         let evicted_before = self.arena.evicted();
         self.arena.hibernate(key, &compact);
-        self.telemetry.hibernates += 1;
-        self.telemetry.evictions += self.arena.evicted() - evicted_before;
+        self.stats.hibernates += 1;
+        self.stats.evictions += self.arena.evicted() - evicted_before;
         for victim in self.arena.drain_evicted() {
             if let Some(p) = &mut self.persist {
                 p.log_evict(victim);
             }
         }
         self.compact_count -= 1;
-        self.gauges_dirty = true;
     }
 
     /// Flushes buffered journal records to disk (batch boundaries and
-    /// idle ticks — the durability analogue of the telemetry flush).
+    /// idle ticks — the durability analogue of the stats fold).
     fn flush_persist(&mut self, shared: &SharedState) {
         if let Some(p) = &mut self.persist {
             if p.flush_wal().is_err() {
-                ServeMetrics::bump(&shared.metrics.persist_errors);
+                shared.slot(self.shard_index).persist_errors += 1;
             }
         }
     }
@@ -1075,17 +1062,19 @@ impl ShardState {
         let mut arena = Vec::with_capacity(self.arena.len() * REC_BYTES);
         self.arena.snapshot_into(&mut arena);
         let p = self.persist.as_mut().expect("checked above");
-        match p.write_checkpoint(self.tick, &table, &arena) {
-            Ok(()) => ServeMetrics::bump(&shared.metrics.checkpoints),
-            Err(_) => ServeMetrics::bump(&shared.metrics.persist_errors),
+        let written = p.write_checkpoint(self.tick, &table, &arena);
+        let mut slot = shared.slot(self.shard_index);
+        match written {
+            Ok(()) => slot.checkpoints += 1,
+            Err(_) => slot.persist_errors += 1,
         }
     }
 
-    /// Graceful-drain epilogue: final telemetry flush + final checkpoint.
+    /// Graceful-drain epilogue: final stats fold + final checkpoint.
     /// Runs on every clean `serve_loop` exit, so a daemon stopped by a
     /// shutdown command leaves a complete durable image behind.
     fn drain(&mut self, shared: &SharedState) {
-        self.flush_telemetry(shared);
+        self.flush_stats(shared);
         self.checkpoint(shared);
     }
 }
@@ -1117,13 +1106,13 @@ pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>)
         match outcome {
             Ok(()) => return,
             Err(_) => {
-                ServeMetrics::bump(&shared.metrics.panics);
+                shared.slot(index).panics += 1;
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(backoff_ms));
                 backoff_ms = (backoff_ms * 2).min(RESTART_BACKOFF_CAP_MS);
-                ServeMetrics::bump(&shared.metrics.restarts);
+                shared.slot(index).restarts += 1;
             }
         }
     }
@@ -1143,13 +1132,13 @@ fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
                     state.drain(shared);
                     return;
                 }
-                // Idle interval: advance the clock, sweep, and retry any
-                // deferred/gauge-only telemetry and journal records.
+                // Idle interval: advance the clock, sweep, and publish what
+                // the sweep changed and any buffered journal records.
                 state.tick += 1;
                 if state.tick % sweep_every == 0 {
                     state.sweep(shared);
                 }
-                state.flush_telemetry(shared);
+                state.flush_stats(shared);
                 state.flush_persist(shared);
                 if checkpoint_every > 0 && state.tick % checkpoint_every == 0 {
                     state.checkpoint(shared);

@@ -265,7 +265,7 @@ pub mod collection {
 
     use crate::strategy::Strategy;
 
-    /// Length specification for [`vec`]: an exact length or a half-open
+    /// Length specification for [`vec()`]: an exact length or a half-open
     /// range of lengths.
     #[derive(Clone, Debug)]
     pub struct SizeRange {

@@ -57,7 +57,7 @@ pub enum Fault {
     /// Freeze the observation at its value on the first faulted step.
     Stuck,
     /// Observations arrive late: serve the observation from `steps`
-    /// decisions ago (clamped to [`MAX_DELAY_STEPS`]). Until that much
+    /// decisions ago (clamped to `MAX_DELAY_STEPS`, 1024). Until that much
     /// history has accumulated inside the fault window, the current
     /// observation passes through.
     Delay {

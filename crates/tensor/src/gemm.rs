@@ -26,7 +26,7 @@
 //! For every output element the blocked path adds products in ascending-`k`
 //! order, one `mul`+`add` per product, starting from the existing value of
 //! `C` — exactly the fold the unblocked `A·B` / `Aᵀ·B` kernels and the
-//! naïve [`reference`] kernels perform. The default (scalar) build is
+//! naïve [`reference`](mod@reference) kernels perform. The default (scalar) build is
 //! therefore **bit-identical** to those paths for any tile/panel geometry;
 //! `tests/gemm_equivalence.rs` pins this across odd and rectangular shapes.
 //! The one historical exception is the unblocked `A·Bᵀ` kernel, whose

@@ -2,7 +2,9 @@
 # Tier-1 verification, the feature-gated builds, and a coarse perf gate.
 #
 # 1. `cargo build --release && cargo test -q` — the ROADMAP's tier-1 gate,
-#    covering every default workspace member.
+#    covering every default workspace member — then
+#    `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib`, so
+#    rustdoc link warnings fail verification.
 # 2. `cargo build --release --features simd` — the FMA GEMM microkernel and
 #    GEMV panel kernels; building it here keeps the feature gate from
 #    rotting.
@@ -67,6 +69,11 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+echo "== doc gate: cargo doc --no-deps --workspace --lib, warnings denied"
+# Broken, private or ambiguous intra-doc links fail here instead of
+# accumulating as warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
 
 echo "== benchmark build: cargo check perfbench against the workspace crates"
 # perfbench/ is its own package built against lahd-serve's public API, so
