@@ -10,9 +10,8 @@
 //! Run: `cargo bench -p lahd-bench --bench ablation_nn_matching`
 
 use lahd_bench::{banner, cached_artifacts, configure, experiments_dir};
-use lahd_core::{Args, Table};
-use lahd_fsm::{Metric, Policy as _};
-use lahd_sim::StorageSim;
+use lahd_core::{run_rollout, Args, Table};
+use lahd_fsm::Metric;
 
 fn main() {
     let args = Args::from_env();
@@ -38,17 +37,18 @@ fn main() {
         ("cosine NN", Metric::Cosine, true),
         ("disabled (hold state)", Metric::Euclidean, false),
     ] {
-        let mut policy = artifacts.fsm_policy(cfg.sim.clone(), metric, matching);
+        let mut policy = artifacts.fsm_executor(metric, matching);
         let mut total_k = 0usize;
         let mut unseen = 0usize;
         let mut missing = 0usize;
         let mut stuck = 0usize;
         let mut steps = 0usize;
         for (i, trace) in artifacts.real_traces.iter().enumerate() {
-            policy.reset();
-            let mut sim = StorageSim::new(cfg.sim.clone(), trace.clone(), 999 + i as u64);
-            let metrics = sim.run_with(|obs| policy.act(obs));
-            total_k += metrics.makespan;
+            let rollout = cfg
+                .scenario
+                .get()
+                .make_rollout(&cfg.sim, trace.clone(), 999 + i as u64);
+            total_k += run_rollout(rollout, &mut policy).score;
             let stats = policy.stats();
             unseen += stats.unseen_observations;
             missing += stats.missing_transitions;

@@ -12,8 +12,8 @@
 //! Run: `cargo bench -p lahd-bench --bench ablation_qbn_size`
 
 use lahd_bench::{banner, cached_artifacts, configure, experiments_dir};
-use lahd_core::{evaluate_policy, Args, Pipeline, Table};
-use lahd_fsm::Policy as _;
+use lahd_core::{evaluate_vec_policy, Args, GruVecPolicy, Pipeline, RolloutOutcome, Table};
+use lahd_fsm::FsmExecutor;
 
 fn main() {
     let args = Args::from_env();
@@ -22,12 +22,14 @@ fn main() {
     let artifacts = cached_artifacts(&cfg);
     let pipeline = Pipeline::new(cfg.clone());
     let raw_dataset = pipeline.collect_dataset(&artifacts.agent, &artifacts.real_traces);
+    let scenario = pipeline.scenario();
 
     // GRU reference row.
-    let mut gru = artifacts.gru_policy(cfg.sim.clone());
-    let gru_mean = mean_makespan(evaluate_policy(
-        &mut gru,
+    let mut gru = GruVecPolicy::new(artifacts.agent.clone());
+    let gru_mean = mean_makespan(evaluate_vec_policy(
+        scenario,
         &cfg.sim,
+        &mut gru,
         &artifacts.real_traces,
         999,
     ));
@@ -62,17 +64,12 @@ fn main() {
             &artifacts.real_traces,
         );
         let (fsm, raw_states) = vp.extract(&quantized, &obs_qbn, &hidden_qbn);
-        let mut policy = lahd_fsm::FsmPolicy::new(
-            fsm.clone(),
-            obs_qbn,
-            variant.sim.clone(),
-            variant.metric,
-            variant.nn_matching,
-        );
-        policy.reset();
-        let mean = mean_makespan(evaluate_policy(
-            &mut policy,
+        let mut policy =
+            FsmExecutor::new(fsm.clone(), obs_qbn, variant.metric, variant.nn_matching);
+        let mean = mean_makespan(evaluate_vec_policy(
+            scenario,
             &cfg.sim,
+            &mut policy,
             &artifacts.real_traces,
             999,
         ));
@@ -101,6 +98,6 @@ fn main() {
     println!("rows written to {}", csv.display());
 }
 
-fn mean_makespan(metrics: Vec<lahd_sim::EpisodeMetrics>) -> f64 {
-    metrics.iter().map(|m| m.makespan as f64).sum::<f64>() / metrics.len() as f64
+fn mean_makespan(outcomes: Vec<RolloutOutcome>) -> f64 {
+    outcomes.iter().map(|o| o.score as f64).sum::<f64>() / outcomes.len() as f64
 }

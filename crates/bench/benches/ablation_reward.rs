@@ -10,7 +10,7 @@
 //! Run: `cargo bench -p lahd-bench --bench ablation_reward`
 
 use lahd_bench::{banner, configure, experiments_dir};
-use lahd_core::{evaluate_policy, Args, GruPolicy, Pipeline, RewardMode, Table};
+use lahd_core::{evaluate_vec_policy, Args, GruVecPolicy, Pipeline, RewardMode, Table};
 
 fn main() {
     let args = Args::from_env();
@@ -38,9 +38,15 @@ fn main() {
         let t0 = std::time::Instant::now();
         let (agent, _) = pipeline.train_with_curriculum(&std_traces, &real_traces);
         let secs = t0.elapsed().as_secs_f64();
-        let mut policy = GruPolicy::new(agent, variant.sim.clone());
-        let metrics = evaluate_policy(&mut policy, &variant.sim, &real_traces, 999);
-        let mean = metrics.iter().map(|m| m.makespan as f64).sum::<f64>() / metrics.len() as f64;
+        let mut policy = GruVecPolicy::new(agent);
+        let outcomes = evaluate_vec_policy(
+            pipeline.scenario(),
+            &variant.sim,
+            &mut policy,
+            &real_traces,
+            999,
+        );
+        let mean = outcomes.iter().map(|o| o.score as f64).sum::<f64>() / outcomes.len() as f64;
         table.push_row(vec![
             label.into(),
             format!("{mean:.1}"),

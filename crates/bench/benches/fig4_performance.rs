@@ -14,10 +14,8 @@
 //! Run: `cargo bench -p lahd-bench --bench fig4_performance [-- --paper]`
 
 use lahd_bench::{banner, cached_artifacts, configure, experiments_dir};
-use lahd_core::{fmt_pct, Args, Comparison, Table};
-use lahd_fsm::{DefaultPolicy, HandcraftedFsm, Policy};
+use lahd_core::{compare_policies, fmt_pct, Args, Comparison, Table};
 use lahd_workload::real_trace_set;
-use lahd_workload::WorkloadTrace;
 
 fn main() {
     let args = Args::from_env();
@@ -35,14 +33,7 @@ fn main() {
         ),
         ("held-out traces", held_out, 31_337u64),
     ] {
-        let mut default_policy = DefaultPolicy;
-        let mut handcrafted = HandcraftedFsm::tuned();
-        let mut gru = artifacts.gru_policy(cfg.sim.clone());
-        let mut fsm = artifacts.fsm_policy(cfg.sim.clone(), cfg.metric, cfg.nn_matching);
-        let mut policies: Vec<&mut dyn Policy> =
-            vec![&mut default_policy, &mut handcrafted, &mut gru, &mut fsm];
-        let traces: Vec<WorkloadTrace> = traces;
-        let comparison = Comparison::run(&mut policies, &cfg.sim, &traces, noise_seed);
+        let comparison = compare_policies(&cfg, &artifacts, &traces, noise_seed);
         report(&comparison, set_name);
     }
     println!(
@@ -55,32 +46,17 @@ fn main() {
 }
 
 fn report(c: &Comparison, set_name: &str) {
-    let mut table = Table::new(
-        format!("Figure 4 — {set_name}"),
-        &[
-            "workload",
-            "default",
-            "handcrafted",
-            "gru-drl",
-            "extracted-fsm",
-        ],
-    );
+    let mut headers = vec!["workload"];
+    headers.extend(c.policy_names.iter().map(String::as_str));
+    let mut table = Table::new(format!("Figure 4 — {set_name}"), &headers);
     for (row, trace) in c.trace_names.iter().enumerate() {
-        table.push_row(vec![
-            trace.clone(),
-            c.makespans[row][0].to_string(),
-            c.makespans[row][1].to_string(),
-            c.makespans[row][2].to_string(),
-            c.makespans[row][3].to_string(),
-        ]);
+        let mut cells = vec![trace.clone()];
+        cells.extend(c.makespans[row].iter().map(usize::to_string));
+        table.push_row(cells);
     }
-    table.push_row(vec![
-        "MEAN".into(),
-        format!("{:.1}", c.mean_makespan(0)),
-        format!("{:.1}", c.mean_makespan(1)),
-        format!("{:.1}", c.mean_makespan(2)),
-        format!("{:.1}", c.mean_makespan(3)),
-    ]);
+    let mut mean_cells = vec!["MEAN".to_string()];
+    mean_cells.extend((0..c.policy_names.len()).map(|col| format!("{:.1}", c.mean_makespan(col))));
+    table.push_row(mean_cells);
     print!("{}", table.render());
 
     let d = c.column("default").expect("default column");

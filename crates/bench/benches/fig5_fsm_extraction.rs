@@ -14,9 +14,9 @@
 //! Output: state table + Graphviz DOT (`target/experiments/fig5_fsm.dot`).
 
 use lahd_bench::{banner, cached_artifacts, configure, experiments_dir};
-use lahd_core::{action_names, Args, Table};
-use lahd_fsm::{interpret_states, to_dot, Policy};
-use lahd_sim::{Observation, SimConfig, StorageSim};
+use lahd_core::{action_names, run_rollout, Args, Table};
+use lahd_fsm::{interpret_states, to_dot};
+use lahd_sim::{Observation, SimConfig};
 
 /// Pulls the named summary features out of a mean observation vector.
 fn summarise_obs(v: &[f32], cfg: &SimConfig) -> (f64, f64, f64, f64, f64) {
@@ -48,15 +48,17 @@ fn main() {
 
     // Execute the FSM over one real workload, recording the trajectory.
     let trace = artifacts.real_traces[0].clone();
-    let mut policy = artifacts.fsm_policy(cfg.sim.clone(), cfg.metric, cfg.nn_matching);
+    let mut policy = artifacts.fsm_executor(cfg.metric, cfg.nn_matching);
     policy.record_trajectory(true);
-    policy.reset();
-    let mut sim = StorageSim::new(cfg.sim.clone(), trace.clone(), 4242);
-    let metrics = sim.run_with(|obs| policy.act(obs));
+    let rollout = cfg
+        .scenario
+        .get()
+        .make_rollout(&cfg.sim, trace.clone(), 4242);
+    let outcome = run_rollout(rollout, &mut policy);
     let trajectory = policy.take_trajectory();
     println!(
         "executed FSM on {}: makespan {} over horizon {}",
-        trace.name, metrics.makespan, metrics.horizon
+        trace.name, outcome.score, outcome.horizon
     );
 
     let state_actions: Vec<usize> = fsm.states.iter().map(|s| s.action).collect();

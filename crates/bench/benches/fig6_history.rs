@@ -14,9 +14,9 @@
 //! Run: `cargo bench -p lahd-bench --bench fig6_history [-- --paper]`
 
 use lahd_bench::{banner, cached_artifacts, configure, experiments_dir};
-use lahd_core::{action_names, Args, Table};
-use lahd_fsm::{history_window, interpret_states, Policy};
-use lahd_sim::{Action, Level, StorageSim};
+use lahd_core::{action_names, run_rollout, Args, Table};
+use lahd_fsm::{history_window, interpret_states};
+use lahd_sim::{Action, Level};
 
 const WINDOW: usize = 10;
 
@@ -31,13 +31,15 @@ fn main() {
     let names = action_names();
 
     // Record a trajectory over every real trace to gather enough entries.
-    let mut policy = artifacts.fsm_policy(cfg.sim.clone(), cfg.metric, cfg.nn_matching);
+    let mut policy = artifacts.fsm_executor(cfg.metric, cfg.nn_matching);
     policy.record_trajectory(true);
     let mut trajectory = lahd_fsm::Trajectory::default();
     for (i, trace) in artifacts.real_traces.iter().enumerate() {
-        policy.reset();
-        let mut sim = StorageSim::new(cfg.sim.clone(), trace.clone(), 6000 + i as u64);
-        sim.run_with(|obs| policy.act(obs));
+        let rollout = cfg
+            .scenario
+            .get()
+            .make_rollout(&cfg.sim, trace.clone(), 6000 + i as u64);
+        run_rollout(rollout, &mut policy);
         trajectory.steps.extend(policy.take_trajectory().steps);
     }
 

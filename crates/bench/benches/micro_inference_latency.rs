@@ -8,7 +8,7 @@
 //! handcrafted rule.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lahd_fsm::{Fsm, FsmPolicy, FsmState, HandcraftedFsm, Metric, ObsSymbol, Policy};
+use lahd_fsm::{Fsm, FsmExecutor, FsmState, HandcraftedFsm, Metric, ObsSymbol, Policy};
 use lahd_qbn::{Code, Qbn, QbnConfig};
 use lahd_rl::RecurrentActorCritic;
 use lahd_sim::{
@@ -40,7 +40,7 @@ fn observation() -> Observation {
 
 /// A synthetic machine with realistic size (12 states, 64 symbols): FSM
 /// latency depends on structure, not on learned weights.
-fn synthetic_fsm(obs_qbn: &Qbn, cfg: &SimConfig) -> FsmPolicy {
+fn synthetic_fsm(obs_qbn: &Qbn, cfg: &SimConfig) -> FsmExecutor {
     let num_states = 12;
     let num_symbols = 64;
     let obs_dim = Observation::DIM;
@@ -78,7 +78,7 @@ fn synthetic_fsm(obs_qbn: &Qbn, cfg: &SimConfig) -> FsmPolicy {
         initial_state: 0,
     };
     let _ = obs_dim;
-    FsmPolicy::new(fsm, obs_qbn.clone(), cfg.clone(), Metric::Euclidean, true)
+    FsmExecutor::new(fsm, obs_qbn.clone(), Metric::Euclidean, true)
 }
 
 fn bench_inference(c: &mut Criterion) {
@@ -192,13 +192,14 @@ fn bench_inference(c: &mut Criterion) {
         });
     }
 
-    // Extracted FSM: QBN encode + table lookup.
+    // Extracted FSM: normalise the observation, then QBN encode + table
+    // lookup.
     let obs_qbn = Qbn::new(QbnConfig::with_dims(Observation::DIM, 8), 1);
-    let mut fsm_policy = synthetic_fsm(&obs_qbn, &cfg);
+    let mut fsm = synthetic_fsm(&obs_qbn, &cfg);
     group.bench_function("extracted_fsm_step", |b| {
         b.iter(|| {
-            let a = fsm_policy.act(std::hint::black_box(&obs));
-            std::hint::black_box(a)
+            let v = std::hint::black_box(&obs).to_vector(&cfg);
+            std::hint::black_box(fsm.step_vec(&v))
         })
     });
 

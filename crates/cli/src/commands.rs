@@ -5,15 +5,15 @@ use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use lahd_core::{
-    best_static_allocation, explain_fsm, guard_eval, load_artifacts, save_artifacts, Args,
-    Comparison, GruPolicy, GruVecPolicy, GuardEvalConfig, Pipeline, PipelineArtifacts,
-    PipelineConfig, Precision, ScenarioId, Table,
+    best_static_allocation, compare_policies, explain_fsm, guard_eval, load_artifacts, run_rollout,
+    save_artifacts, Args, GuardEvalConfig, Pipeline, PipelineArtifacts, PipelineConfig, Precision,
+    ScenarioId, Table,
 };
-use lahd_fsm::{DefaultPolicy, HandcraftedFsm, Policy, VecPolicy};
+use lahd_fsm::{DefaultPolicy, HandcraftedFsm, Policy};
 use lahd_serve::{
     persist, prepare_corrupt_candidate, run_bench, run_restart_drill, run_streams_sweep, serve_dir,
     BenchConfig, ChaosPlan, DrillConfig, HostedDaemon, Request, ServeClient, ServeConfig,
-    REC_BYTES,
+    BATCH_MAX, REC_BYTES,
 };
 use lahd_sim::{DiskFault, Fault, FaultPlan, SimConfig, StorageSim};
 use lahd_workload::{
@@ -90,8 +90,8 @@ fn usage() -> String {
      \x20 serve      run the fault-tolerant decision-serving daemon over a\n\
      \x20            Unix socket until a shutdown request arrives\n\
      \x20            --artifacts DIR [--socket FILE] [--shards N]\n\
-     \x20            [--queue-capacity N] [--batch-max N] [--max-streams N]\n\
-     \x20            [--audit-every N] [--audit-budget N] [--hibernate-after N]\n\
+     \x20            [--queue-capacity N] [--max-streams N]\n\
+     \x20            [--audit-every N] [--hibernate-after N]\n\
      \x20            [--sweep-every N] [--max-hibernated N]\n\
      \x20            [--state-dir DIR (durable checkpoints + journal)]\n\
      \x20            [--checkpoint-every N (ticks; 0 = drain-only)] [--recover]\n\
@@ -176,18 +176,16 @@ fn artifacts_dir(args: &Args) -> PathBuf {
     )
 }
 
-fn load(args: &Args) -> Result<(PipelineConfig, PipelineArtifacts), CliError> {
-    let cfg = scale_config(args)?;
+fn load(args: &Args, cfg: &PipelineConfig) -> Result<PipelineArtifacts, CliError> {
     let dir = artifacts_dir(args);
-    let artifacts = load_artifacts(&cfg, &dir).ok_or_else(|| {
+    load_artifacts(cfg, &dir).ok_or_else(|| {
         err(format!(
             "no artifacts for this configuration (scenario {}) in {} — run `lahd pipeline` \
              first (the --scenario/--scale/--hidden/--seed options must match)",
             cfg.scenario,
             dir.display()
         ))
-    })?;
-    Ok((cfg, artifacts))
+    })
 }
 
 fn cmd_pipeline(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
@@ -215,55 +213,40 @@ fn cmd_pipeline(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_evaluate(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
-    let (cfg, artifacts) = load(args)?;
+    let cfg = scale_config(args)?;
+    let dorado = cfg.scenario == ScenarioId::DoradoMigration;
+    let with_oracle = args.has_flag("oracle");
+    if with_oracle && !dorado {
+        return Err(err(format!(
+            "--oracle enumerates static core allocations and only applies to \
+             dorado-migration, not {}",
+            cfg.scenario
+        )));
+    }
+    let artifacts = load(args, &cfg)?;
     let traces = if args.has_flag("heldout") {
         real_trace_set(10, cfg.trace_len, cfg.seed.wrapping_add(777_000))
     } else {
         artifacts.real_traces.clone()
     };
-    if cfg.scenario != ScenarioId::DoradoMigration {
-        return evaluate_generic(args, &cfg, &artifacts, &traces, out);
-    }
+    let c = compare_policies(&cfg, &artifacts, &traces, 999);
 
-    let mut default_policy = DefaultPolicy;
-    let mut handcrafted = HandcraftedFsm::tuned();
-    // The default stays on the historical (bit-stable) unpacked path; a
-    // non-default precision runs the packed engine tier under test.
-    let mut gru = if cfg.infer_precision == Precision::Exact {
-        artifacts.gru_policy(cfg.sim.clone())
-    } else {
-        GruPolicy::packed(
-            artifacts.agent.clone(),
-            cfg.sim.clone(),
-            cfg.infer_precision,
-        )
-    };
-    let mut fsm = artifacts.fsm_policy(cfg.sim.clone(), cfg.metric, cfg.nn_matching);
-    let mut policies: Vec<&mut dyn Policy> =
-        vec![&mut default_policy, &mut handcrafted, &mut gru, &mut fsm];
-    let c = Comparison::run(&mut policies, &cfg.sim, &traces, 999);
-
-    let with_oracle = args.has_flag("oracle");
-    let mut headers = vec![
-        "workload",
-        "default",
-        "handcrafted",
-        "gru-drl",
-        "extracted-fsm",
-    ];
+    let mut headers = vec!["workload"];
+    headers.extend(c.policy_names.iter().map(String::as_str));
     if with_oracle {
         headers.push("static-oracle");
     }
-    let mut table = Table::new("makespan comparison", &headers);
+    // Dorado keeps the paper harness's historical title.
+    let title = if dorado {
+        "makespan comparison".to_string()
+    } else {
+        format!("makespan comparison ({})", cfg.scenario)
+    };
+    let mut table = Table::new(title, &headers);
     let mut oracle_sum = 0.0;
     for (row, trace) in traces.iter().enumerate() {
-        let mut cells = vec![
-            c.trace_names[row].clone(),
-            c.makespans[row][0].to_string(),
-            c.makespans[row][1].to_string(),
-            c.makespans[row][2].to_string(),
-            c.makespans[row][3].to_string(),
-        ];
+        let mut cells = vec![c.trace_names[row].clone()];
+        cells.extend(c.makespans[row].iter().map(usize::to_string));
         if with_oracle {
             let oracle = best_static_allocation(&cfg.sim, trace, 999 + row as u64);
             oracle_sum += oracle.makespan as f64;
@@ -271,81 +254,32 @@ fn cmd_evaluate(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         }
         table.push_row(cells);
     }
-    let mut mean_cells = vec![
-        "MEAN".to_string(),
-        format!("{:.1}", c.mean_makespan(0)),
-        format!("{:.1}", c.mean_makespan(1)),
-        format!("{:.1}", c.mean_makespan(2)),
-        format!("{:.1}", c.mean_makespan(3)),
-    ];
+    let mut mean_cells = vec!["MEAN".to_string()];
+    mean_cells.extend((0..c.policy_names.len()).map(|col| format!("{:.1}", c.mean_makespan(col))));
     if with_oracle {
         mean_cells.push(format!("{:.1}", oracle_sum / traces.len() as f64));
     }
     table.push_row(mean_cells);
     write!(out, "{}", table.render())?;
-    writeln!(
-        out,
-        "reductions: handcrafted {:.1}% vs default; gru {:.1}% vs handcrafted; \
-         fsm {:+.1}% vs gru",
-        c.reduction_vs(1, 0) * 100.0,
-        c.reduction_vs(2, 1) * 100.0,
-        -c.reduction_vs(3, 2) * 100.0
-    )?;
-    Ok(())
-}
 
-/// Scenario-generic evaluation: the scenario's baselines, the greedy GRU
-/// teacher and the extracted FSM, compared over the vector-policy path.
-fn evaluate_generic(
-    args: &Args,
-    cfg: &PipelineConfig,
-    artifacts: &PipelineArtifacts,
-    traces: &[WorkloadTrace],
-    out: &mut impl Write,
-) -> Result<(), CliError> {
-    if args.has_flag("oracle") {
-        return Err(err(format!(
-            "--oracle enumerates static core allocations and only applies to \
-             dorado-migration, not {}",
-            cfg.scenario
-        )));
+    let gru = c.column("gru-drl").expect("gru column exists");
+    let fsm = c.column("extracted-fsm").expect("fsm column exists");
+    if dorado {
+        // The paper's Figure-4 reading: expert vs default, DRL vs expert.
+        let default = c.column("default").expect("default column exists");
+        let expert = c.column("handcrafted").expect("handcrafted column exists");
+        writeln!(
+            out,
+            "reductions: handcrafted {:.1}% vs default; gru {:.1}% vs handcrafted; \
+             fsm {:+.1}% vs gru",
+            c.reduction_vs(expert, default) * 100.0,
+            c.reduction_vs(gru, expert) * 100.0,
+            -c.reduction_vs(fsm, gru) * 100.0
+        )?;
+        return Ok(());
     }
-    let scenario = cfg.scenario.get();
-    let mut baselines = scenario.baselines(&cfg.sim);
-    let mut gru = if cfg.infer_precision == Precision::Exact {
-        GruVecPolicy::new(artifacts.agent.clone())
-    } else {
-        GruVecPolicy::packed(artifacts.agent.clone(), cfg.infer_precision)
-    };
-    let mut fsm = artifacts.fsm_executor(cfg.metric, cfg.nn_matching);
-    let mut policies: Vec<&mut dyn VecPolicy> = baselines
-        .iter_mut()
-        .map(|b| b.as_mut() as &mut dyn VecPolicy)
-        .collect();
-    policies.push(&mut gru);
-    policies.push(&mut fsm);
-    let c = Comparison::run_vec(scenario, &cfg.sim, &mut policies, traces, 999);
-
-    let mut headers = vec!["workload".to_string()];
-    headers.extend(c.policy_names.iter().cloned());
-    let mut table = Table::new(
-        format!("makespan comparison ({})", scenario.name()),
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    for (row, name) in c.trace_names.iter().enumerate() {
-        let mut cells = vec![name.clone()];
-        cells.extend(c.makespans[row].iter().map(usize::to_string));
-        table.push_row(cells);
-    }
-    let mut mean_cells = vec!["MEAN".to_string()];
-    mean_cells.extend((0..c.policy_names.len()).map(|col| format!("{:.1}", c.mean_makespan(col))));
-    table.push_row(mean_cells);
-    write!(out, "{}", table.render())?;
-
-    let gru_col = c.column("gru-drl").expect("gru column exists");
-    let fsm_col = c.column("extracted-fsm").expect("fsm column exists");
     let best_baseline = (0..c.policy_names.len())
-        .filter(|&col| col != gru_col && col != fsm_col)
+        .filter(|&col| col != gru && col != fsm)
         .min_by(|&a, &b| {
             c.mean_makespan(a)
                 .partial_cmp(&c.mean_makespan(b))
@@ -355,15 +289,15 @@ fn evaluate_generic(
         Some(col) => writeln!(
             out,
             "reductions: gru {:.1}% vs best baseline ({}); fsm {:+.1}% vs gru",
-            c.reduction_vs(gru_col, col) * 100.0,
+            c.reduction_vs(gru, col) * 100.0,
             c.policy_names[col],
-            -c.reduction_vs(fsm_col, gru_col) * 100.0
+            -c.reduction_vs(fsm, gru) * 100.0
         )?,
         // A scenario is free to register no baselines.
         None => writeln!(
             out,
             "reductions: fsm {:+.1}% vs gru",
-            -c.reduction_vs(fsm_col, gru_col) * 100.0
+            -c.reduction_vs(fsm, gru) * 100.0
         )?,
     }
     Ok(())
@@ -473,11 +407,9 @@ fn serve_config(args: &Args) -> ServeConfig {
     ServeConfig {
         shards: args.get_usize("shards", d.shards),
         queue_capacity: args.get_usize("queue-capacity", d.queue_capacity),
-        batch_max: args.get_usize("batch-max", d.batch_max),
         max_streams: args.get_usize("max-streams", d.max_streams),
         allow_chaos: args.has_flag("allow-chaos"),
         audit_every: args.get_u64("audit-every", d.audit_every),
-        audit_budget: args.get_usize("audit-budget", d.audit_budget),
         hibernate_after: args.get_u64("hibernate-after", d.hibernate_after),
         sweep_every: args.get_u64("sweep-every", d.sweep_every),
         max_hibernated: args.get_usize("max-hibernated", d.max_hibernated),
@@ -503,7 +435,7 @@ fn cmd_serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         socket.display(),
         serve_cfg.shards,
         serve_cfg.queue_capacity,
-        serve_cfg.batch_max,
+        BATCH_MAX,
     )?;
     out.flush()?;
     handle.wait();
@@ -830,7 +762,8 @@ fn cmd_serve_drill(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_explain(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
-    let (cfg, artifacts) = load(args)?;
+    let cfg = scale_config(args)?;
+    let artifacts = load(args, &cfg)?;
     if cfg.scenario != ScenarioId::DoradoMigration {
         return Err(err(format!(
             "explain's narrative report reads the Dorado observation layout and \
@@ -839,13 +772,15 @@ fn cmd_explain(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
             cfg.scenario
         )));
     }
-    let mut policy = artifacts.fsm_policy(cfg.sim.clone(), cfg.metric, cfg.nn_matching);
+    let mut policy = artifacts.fsm_executor(cfg.metric, cfg.nn_matching);
     policy.record_trajectory(true);
     let mut trajectory = lahd_fsm::Trajectory::default();
     for (i, trace) in artifacts.real_traces.iter().enumerate() {
-        policy.reset();
-        let mut sim = StorageSim::new(cfg.sim.clone(), trace.clone(), 6000 + i as u64);
-        sim.run_with(|obs| policy.act(obs));
+        let rollout = cfg
+            .scenario
+            .get()
+            .make_rollout(&cfg.sim, trace.clone(), 6000 + i as u64);
+        run_rollout(rollout, &mut policy);
         trajectory.steps.extend(policy.take_trajectory().steps);
     }
     let report = explain_fsm(&artifacts.fsm, &trajectory, &cfg.sim);
@@ -1094,6 +1029,67 @@ mod tests {
         assert!(e.0.contains("scenario dorado-migration"));
         assert!(e.0.contains("--scenario"));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn evaluate_oracle_heldout_prints_the_figure4_table() {
+        let dir = temp_dir("oracle-heldout");
+        let out_flag = dir.to_str().unwrap();
+        run_cli(&["pipeline", "--scale", "tiny", "--out", out_flag]).unwrap();
+        let text = run_cli(&[
+            "evaluate",
+            "--scale",
+            "tiny",
+            "--artifacts",
+            out_flag,
+            "--oracle",
+            "--heldout",
+        ])
+        .unwrap();
+        let header = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("workload"))
+            .expect("table header");
+        let columns: Vec<&str> = header.split_whitespace().collect();
+        assert_eq!(
+            columns,
+            [
+                "workload",
+                "default",
+                "handcrafted",
+                "gru-drl",
+                "extracted-fsm",
+                "static-oracle"
+            ],
+            "{text}"
+        );
+        let tiny = PipelineConfig::tiny();
+        let heldout = real_trace_set(10, tiny.trace_len, tiny.seed.wrapping_add(777_000));
+        for trace in &heldout {
+            assert!(
+                text.lines()
+                    .any(|l| l.trim_start().starts_with(trace.name.as_str())),
+                "missing held-out row {}:\n{text}",
+                trace.name
+            );
+        }
+        assert!(text.contains("MEAN"), "{text}");
+        assert!(text.contains("reductions: handcrafted"), "{text}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn evaluate_rejects_oracle_outside_dorado() {
+        let e = run_cli(&[
+            "evaluate",
+            "--scenario",
+            "readahead",
+            "--scale",
+            "tiny",
+            "--oracle",
+        ])
+        .unwrap_err();
+        assert!(e.0.contains("only applies to dorado-migration"), "{}", e.0);
     }
 
     #[test]

@@ -1,15 +1,9 @@
-//! The storage-system MDP: couples a simulator with a workload trace and a
-//! reward definition, behind the generic [`lahd_rl::Env`] trait.
+//! The reward side of the storage-system MDP.
 //!
-//! [`StorageEnv`] is the paper's Dorado core-migration environment. Other
-//! scenarios get a training environment for free from
-//! [`crate::scenario::RolloutEnv`], which mirrors this one's seeding and
-//! reward wiring over the scenario's rollout factory; the [`RewardMode`]
-//! definitions (the objective — minimum makespan — is the same everywhere)
-//! are shared by both.
-
-use lahd_rl::{Env, Transition};
-use lahd_sim::{Action, Observation, SimConfig, StorageSim, WorkloadTrace};
+//! Every scenario, the paper's Dorado core migration included, trains on
+//! [`crate::scenario::RolloutEnv`], which couples the scenario's rollout
+//! with a workload trace and one of the [`RewardMode`] definitions below
+//! (the objective — minimum makespan — is the same everywhere).
 
 /// How episode rewards are computed.
 ///
@@ -82,137 +76,59 @@ impl RewardMode {
     }
 }
 
-/// [`Env`] implementation over one workload trace.
-///
-/// Each `reset` re-creates the simulator; the idle-noise seed advances per
-/// episode (derived from the base seed) so training sees varied noise while
-/// remaining reproducible end-to-end.
-pub struct StorageEnv {
-    cfg: SimConfig,
-    trace: WorkloadTrace,
-    reward: RewardMode,
-    base_seed: u64,
-    episode: u64,
-    sim: Option<StorageSim>,
-    name: String,
-}
-
-impl StorageEnv {
-    /// Creates the environment. `cfg.max_intervals` bounds episode length
-    /// (important early in training when policies are poor).
-    pub fn new(cfg: SimConfig, trace: WorkloadTrace, reward: RewardMode, seed: u64) -> Self {
-        let name = format!("storage:{}", trace.name);
-        Self {
-            cfg,
-            trace,
-            reward,
-            base_seed: seed,
-            episode: 0,
-            sim: None,
-            name,
-        }
-    }
-
-    /// The trace driven by this environment.
-    pub fn trace(&self) -> &WorkloadTrace {
-        &self.trace
-    }
-
-    /// Makespan of the episode in progress (or just finished).
-    pub fn makespan(&self) -> usize {
-        self.sim.as_ref().map_or(0, StorageSim::makespan)
-    }
-
-    fn sim(&mut self) -> &mut StorageSim {
-        self.sim
-            .as_mut()
-            .expect("reset() must be called before step()")
-    }
-
-    fn observation_vec(&self) -> Vec<f32> {
-        let sim = self.sim.as_ref().expect("simulator exists");
-        sim.observation().to_vector(&self.cfg)
-    }
-}
-
-impl Env for StorageEnv {
-    fn obs_dim(&self) -> usize {
-        Observation::DIM
-    }
-
-    fn num_actions(&self) -> usize {
-        Action::COUNT
-    }
-
-    fn reset(&mut self) -> Vec<f32> {
-        let seed = self
-            .base_seed
-            .wrapping_add(self.episode.wrapping_mul(0x9E37_79B9));
-        self.episode += 1;
-        self.sim = Some(StorageSim::new(self.cfg.clone(), self.trace.clone(), seed));
-        self.observation_vec()
-    }
-
-    fn step(&mut self, action: usize) -> Transition {
-        let ideal = self.cfg.ideal_capability_kib();
-        let horizon = self.trace.len() as f32;
-        let result = self.sim().step(Action::from_index(action));
-
-        let mut reward = self.reward.step_reward(result.backlog_kib, ideal, horizon);
-        if result.done {
-            let k = self.makespan() as f32;
-            reward += self.reward.terminal_reward(horizon, k);
-        }
-
-        Transition {
-            obs: self.observation_vec(),
-            reward,
-            done: result.done,
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use lahd_workload::{IntervalWorkload, NUM_IO_CLASSES};
+    //! Reward behaviour as the paper's Dorado case study trains on it:
+    //! through the scenario's `make_env`.
 
+    use super::*;
+    use crate::scenario::ScenarioId;
+    use lahd_rl::Env;
+    use lahd_sim::SimConfig;
+    use lahd_workload::{IntervalWorkload, WorkloadTrace, NUM_IO_CLASSES};
+
+    /// `n` intervals of `q` 64 KiB reads each.
     fn trace(n: usize, q: f64) -> WorkloadTrace {
         let mut mix = [0.0; NUM_IO_CLASSES];
         mix[4] = 1.0;
         WorkloadTrace::new("test", vec![IntervalWorkload::new(mix, q); n])
     }
 
-    fn quiet_cfg() -> SimConfig {
-        SimConfig {
+    fn dorado_env(trace: WorkloadTrace, reward: RewardMode) -> Box<dyn Env> {
+        let quiet = SimConfig {
             idle_lambda: 0.0,
             ..SimConfig::default()
+        };
+        ScenarioId::DoradoMigration
+            .get()
+            .make_env(&quiet, trace, reward, 0)
+    }
+
+    /// Runs one episode under a constant action; returns the per-interval
+    /// rewards (their count is the makespan).
+    fn episode_rewards(env: &mut dyn Env, action: usize) -> Vec<f32> {
+        env.reset();
+        let mut rewards = Vec::new();
+        loop {
+            let tr = env.step(action);
+            rewards.push(tr.reward);
+            if tr.done {
+                return rewards;
+            }
         }
     }
 
     #[test]
     fn env_reports_paper_dimensions() {
-        let env = StorageEnv::new(quiet_cfg(), trace(4, 10.0), RewardMode::paper(), 0);
+        let env = dorado_env(trace(4, 10.0), RewardMode::paper());
         assert_eq!(env.obs_dim(), 35);
         assert_eq!(env.num_actions(), 7);
     }
 
     #[test]
     fn paper_reward_is_terminal_only() {
-        let mut env = StorageEnv::new(quiet_cfg(), trace(6, 100.0), RewardMode::paper(), 0);
-        env.reset();
-        let mut rewards = Vec::new();
-        loop {
-            let tr = env.step(0);
-            rewards.push(tr.reward);
-            if tr.done {
-                break;
-            }
-        }
+        let mut env = dorado_env(trace(6, 100.0), RewardMode::paper());
+        let rewards = episode_rewards(env.as_mut(), 0);
         let (last, rest) = rewards.split_last().unwrap();
         assert!(rest.iter().all(|&r| r == 0.0));
         // K = 7 for this light read load (T + 1 fetch interval): T/K = 6/7.
@@ -221,7 +137,7 @@ mod tests {
 
     #[test]
     fn shaped_reward_penalises_backlog() {
-        let mut env = StorageEnv::new(quiet_cfg(), trace(6, 50_000.0), RewardMode::shaped(), 0);
+        let mut env = dorado_env(trace(6, 50_000.0), RewardMode::shaped());
         env.reset();
         let tr = env.step(0);
         assert!(
@@ -233,25 +149,15 @@ mod tests {
 
     #[test]
     fn faster_completion_earns_more_total_reward() {
-        // Same trace; policy A (noop) vs policy B (sabotage: starve NORMAL).
-        let run = |actions: &dyn Fn(usize) -> usize| {
-            let mut env = StorageEnv::new(quiet_cfg(), trace(12, 2500.0), RewardMode::paper(), 0);
-            env.reset();
-            let mut total = 0.0;
-            let mut t = 0;
-            loop {
-                let tr = env.step(actions(t));
-                total += tr.reward;
-                t += 1;
-                if tr.done {
-                    return (total, env.makespan());
-                }
-            }
+        // Same trace; noop vs sabotage (action 3 is Kv→Normal: starving KV
+        // on read misses hurts).
+        let run = |action: usize| {
+            let mut env = dorado_env(trace(12, 2500.0), RewardMode::paper());
+            let rewards = episode_rewards(env.as_mut(), action);
+            (rewards.iter().sum::<f32>(), rewards.len())
         };
-        let (noop_reward, noop_k) = run(&|_| 0);
-        // Action 3 = K=>N? index 3 is Kv→Normal. Starving KV on read misses
-        // hurts; do it repeatedly.
-        let (bad_reward, bad_k) = run(&|_| 3);
+        let (noop_reward, noop_k) = run(0);
+        let (bad_reward, bad_k) = run(3);
         if bad_k > noop_k {
             assert!(bad_reward < noop_reward);
         }
@@ -264,18 +170,15 @@ mod tests {
             ..SimConfig::default()
         };
         let run_two = || {
-            let mut env = StorageEnv::new(cfg.clone(), trace(10, 2500.0), RewardMode::paper(), 7);
-            let mut ks = Vec::new();
-            for _ in 0..2 {
-                env.reset();
-                loop {
-                    if env.step(0).done {
-                        break;
-                    }
-                }
-                ks.push(env.makespan());
-            }
-            ks
+            let mut env = ScenarioId::DoradoMigration.get().make_env(
+                &cfg,
+                trace(10, 2500.0),
+                RewardMode::paper(),
+                7,
+            );
+            (0..2)
+                .map(|_| episode_rewards(env.as_mut(), 0).len())
+                .collect::<Vec<_>>()
         };
         let a = run_two();
         let b = run_two();

@@ -1,65 +1,19 @@
 //! Policy evaluation harness (the machinery behind Figure 4).
 //!
-//! Two parallel paths exist: the Dorado-typed [`Policy`] path the paper's
-//! evaluation was built on, and the scenario-generic [`VecPolicy`] path
-//! ([`evaluate_vec_policy`], [`Comparison::run_vec`]) that works for every
-//! registered [`Scenario`].
+//! Learned policies and the generic baselines are [`VecPolicy`]s, evaluated
+//! over any registered [`Scenario`] by [`evaluate_vec_policy`].
+//! [`compare_policies`] builds the Figure-4 comparison for a trained
+//! pipeline. The Dorado expert baselines read structured observations and
+//! run through [`evaluate_policy`] over the typed [`Policy`] interface.
 
-use lahd_fsm::{Policy, VecPolicy};
+use lahd_fsm::{HandcraftedFsm, Policy, VecPolicy};
 use lahd_rl::{Precision, RecurrentActorCritic};
-use lahd_sim::{Action, EpisodeMetrics, Observation, SimConfig, StorageSim};
+use lahd_sim::{EpisodeMetrics, SimConfig, StorageSim};
 use lahd_tensor::Matrix;
 use lahd_workload::WorkloadTrace;
 
-use crate::scenario::{run_rollout, RolloutOutcome, Scenario};
-
-/// Wraps the trained GRU agent as a greedy Dorado simulator [`Policy`]:
-/// the Dorado observation normalisation in front of a [`GruVecPolicy`]
-/// (the same adapter pattern as `FsmPolicy` over `FsmExecutor`).
-pub struct GruPolicy {
-    inner: GruVecPolicy,
-    sim_cfg: SimConfig,
-}
-
-impl GruPolicy {
-    /// Creates the policy; `sim_cfg` must match the training normalisation.
-    pub fn new(agent: RecurrentActorCritic, sim_cfg: SimConfig) -> Self {
-        Self {
-            inner: GruVecPolicy::new(agent),
-            sim_cfg,
-        }
-    }
-
-    /// Engine-backed variant: inference runs through a packed
-    /// [`lahd_rl::InferEngine`] in the given precision (see
-    /// [`GruVecPolicy::packed`]).
-    pub fn packed(agent: RecurrentActorCritic, sim_cfg: SimConfig, precision: Precision) -> Self {
-        Self {
-            inner: GruVecPolicy::packed(agent, precision),
-            sim_cfg,
-        }
-    }
-
-    /// Access to the wrapped agent.
-    pub fn agent(&self) -> &RecurrentActorCritic {
-        self.inner.agent()
-    }
-}
-
-impl Policy for GruPolicy {
-    fn reset(&mut self) {
-        VecPolicy::reset(&mut self.inner);
-    }
-
-    fn act(&mut self, obs: &Observation) -> Action {
-        let v = obs.to_vector(&self.sim_cfg);
-        Action::from_index(self.inner.act_vec(&v))
-    }
-
-    fn name(&self) -> &str {
-        VecPolicy::name(&self.inner)
-    }
-}
+use crate::pipeline::{PipelineArtifacts, PipelineConfig};
+use crate::scenario::{run_rollout, RolloutOutcome, Scenario, ScenarioId};
 
 /// Wraps a trained agent as a greedy scenario-generic [`VecPolicy`]: the
 /// observation vector comes straight from the scenario rollout, so one
@@ -161,8 +115,8 @@ pub fn evaluate_vec_policy(
         .collect()
 }
 
-/// Evaluates `policy` on every trace; trace `i` uses seed `base_seed + i` so
-/// all policies face identical idle-noise realisations.
+/// Evaluates a Dorado-typed `policy` on every trace; trace `i` uses seed
+/// `base_seed + i` so all policies face identical idle-noise realisations.
 pub fn evaluate_policy(
     policy: &mut dyn Policy,
     cfg: &SimConfig,
@@ -181,6 +135,63 @@ pub fn evaluate_policy(
         .collect()
 }
 
+/// One [`Comparison`] column: `policy`'s name and its per-trace scores.
+fn vec_column(
+    scenario: &dyn Scenario,
+    sim_cfg: &SimConfig,
+    policy: &mut dyn VecPolicy,
+    traces: &[WorkloadTrace],
+    base_seed: u64,
+) -> (String, Vec<usize>) {
+    let outcomes = evaluate_vec_policy(scenario, sim_cfg, policy, traces, base_seed);
+    let scores = outcomes.iter().map(|o| o.score).collect();
+    (policy.name().to_string(), scores)
+}
+
+/// The Figure 4 comparison for trained `artifacts`, over `traces` with
+/// matched noise seeds from `base_seed`. Columns, in order:
+///
+/// 1. the scenario's [`Scenario::baselines`];
+/// 2. for `dorado-migration` only, the expert [`HandcraftedFsm`] — typed,
+///    because it must break utilisation ties on the simulator's unrounded
+///    `f64` values, which the `f32` observation vector loses;
+/// 3. `gru-drl`, the greedy trained agent: the unpacked inference path
+///    under [`Precision::Exact`], the packed engine in any other
+///    `cfg.infer_precision`;
+/// 4. `extracted-fsm`, the extracted machine.
+pub fn compare_policies(
+    cfg: &PipelineConfig,
+    artifacts: &PipelineArtifacts,
+    traces: &[WorkloadTrace],
+    base_seed: u64,
+) -> Comparison {
+    assert_eq!(
+        cfg.scenario, artifacts.scenario,
+        "artifacts were trained for another scenario"
+    );
+    let scenario = cfg.scenario.get();
+    let mut columns: Vec<(String, Vec<usize>)> = scenario
+        .baselines(&cfg.sim)
+        .iter_mut()
+        .map(|b| vec_column(scenario, &cfg.sim, b.as_mut(), traces, base_seed))
+        .collect();
+    if cfg.scenario == ScenarioId::DoradoMigration {
+        let mut expert = HandcraftedFsm::tuned();
+        let metrics = evaluate_policy(&mut expert, &cfg.sim, traces, base_seed);
+        let makespans = metrics.iter().map(|m| m.makespan).collect();
+        columns.push((expert.name().to_string(), makespans));
+    }
+    let mut gru = if cfg.infer_precision == Precision::Exact {
+        GruVecPolicy::new(artifacts.agent.clone())
+    } else {
+        GruVecPolicy::packed(artifacts.agent.clone(), cfg.infer_precision)
+    };
+    let mut fsm = artifacts.fsm_executor(cfg.metric, cfg.nn_matching);
+    columns.push(vec_column(scenario, &cfg.sim, &mut gru, traces, base_seed));
+    columns.push(vec_column(scenario, &cfg.sim, &mut fsm, traces, base_seed));
+    Comparison::from_columns(traces, columns)
+}
+
 /// The Figure 4 comparison: per-trace makespans for a set of policies.
 #[derive(Clone, Debug)]
 pub struct Comparison {
@@ -193,25 +204,23 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Runs every policy over every trace with matched noise seeds.
+    /// Runs every Dorado-typed policy over every trace with matched noise
+    /// seeds.
     pub fn run(
         policies: &mut [&mut dyn Policy],
         cfg: &SimConfig,
         traces: &[WorkloadTrace],
         base_seed: u64,
     ) -> Self {
-        let mut makespans = vec![vec![0usize; policies.len()]; traces.len()];
-        for (col, policy) in policies.iter_mut().enumerate() {
-            let metrics = evaluate_policy(*policy, cfg, traces, base_seed);
-            for (row, m) in metrics.iter().enumerate() {
-                makespans[row][col] = m.makespan;
-            }
-        }
-        Self {
-            policy_names: policies.iter().map(|p| p.name().to_string()).collect(),
-            trace_names: traces.iter().map(|t| t.name.clone()).collect(),
-            makespans,
-        }
+        let columns = policies
+            .iter_mut()
+            .map(|policy| {
+                let metrics = evaluate_policy(*policy, cfg, traces, base_seed);
+                let makespans = metrics.iter().map(|m| m.makespan).collect();
+                (policy.name().to_string(), makespans)
+            })
+            .collect();
+        Self::from_columns(traces, columns)
     }
 
     /// Scenario-generic counterpart of [`Comparison::run`]: every
@@ -224,15 +233,21 @@ impl Comparison {
         traces: &[WorkloadTrace],
         base_seed: u64,
     ) -> Self {
-        let mut makespans = vec![vec![0usize; policies.len()]; traces.len()];
-        for (col, policy) in policies.iter_mut().enumerate() {
-            let outcomes = evaluate_vec_policy(scenario, sim_cfg, *policy, traces, base_seed);
-            for (row, o) in outcomes.iter().enumerate() {
-                makespans[row][col] = o.score;
-            }
-        }
+        let columns = policies
+            .iter_mut()
+            .map(|policy| vec_column(scenario, sim_cfg, *policy, traces, base_seed))
+            .collect();
+        Self::from_columns(traces, columns)
+    }
+
+    /// Assembles the table from `(policy name, per-trace makespans)`
+    /// columns in column order.
+    fn from_columns(traces: &[WorkloadTrace], columns: Vec<(String, Vec<usize>)>) -> Self {
+        let makespans = (0..traces.len())
+            .map(|row| columns.iter().map(|(_, col)| col[row]).collect())
+            .collect();
         Self {
-            policy_names: policies.iter().map(|p| p.name().to_string()).collect(),
+            policy_names: columns.into_iter().map(|(name, _)| name).collect(),
             trace_names: traces.iter().map(|t| t.name.clone()).collect(),
             makespans,
         }
@@ -270,8 +285,9 @@ impl Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioId;
-    use lahd_fsm::{DefaultPolicy, HandcraftedFsm};
+    use crate::pipeline::Pipeline;
+    use lahd_fsm::DefaultPolicy;
+    use lahd_sim::{Action, Observation};
     use lahd_workload::{IntervalWorkload, NUM_IO_CLASSES};
 
     fn traces() -> Vec<WorkloadTrace> {
@@ -295,11 +311,12 @@ mod tests {
 
     #[test]
     fn gru_policy_is_deterministic_after_reset() {
+        let scenario = ScenarioId::DoradoMigration.get();
         let agent = RecurrentActorCritic::new(Observation::DIM, 8, Action::COUNT, 0);
-        let mut p = GruPolicy::new(agent, cfg());
-        let m1 = evaluate_policy(&mut p, &cfg(), &traces(), 0);
-        let m2 = evaluate_policy(&mut p, &cfg(), &traces(), 0);
-        assert_eq!(m1[0].makespan, m2[0].makespan);
+        let mut p = GruVecPolicy::new(agent);
+        let m1 = evaluate_vec_policy(scenario, &cfg(), &mut p, &traces(), 0);
+        let m2 = evaluate_vec_policy(scenario, &cfg(), &mut p, &traces(), 0);
+        assert_eq!(m1, m2);
     }
 
     #[test]
@@ -331,21 +348,26 @@ mod tests {
     }
 
     #[test]
-    fn vec_path_matches_typed_path_on_dorado() {
-        // The scenario-generic rollout normalises observations exactly like
-        // the typed GruPolicy, so the two evaluation paths must agree
-        // makespan-for-makespan.
-        let scenario = ScenarioId::DoradoMigration.get();
-        let agent = RecurrentActorCritic::new(Observation::DIM, 8, Action::COUNT, 3);
-        let mut typed = GruPolicy::new(agent.clone(), cfg());
-        let typed_metrics = evaluate_policy(&mut typed, &cfg(), &traces(), 11);
-        let mut vec_policy = GruVecPolicy::new(agent);
-        let outcomes = evaluate_vec_policy(scenario, &cfg(), &mut vec_policy, &traces(), 11);
-        assert_eq!(typed_metrics.len(), outcomes.len());
-        for (m, o) in typed_metrics.iter().zip(&outcomes) {
-            assert_eq!(m.makespan, o.score);
-            assert_eq!(m.truncated, o.truncated);
-        }
+    fn compare_policies_shares_one_table_between_typed_and_vector_columns() {
+        // Dorado's Figure-4 set mixes the typed expert with vector policies;
+        // the vector `default` column (ConstantPolicy 0) must equal the
+        // typed DefaultPolicy under the same seed, which shows every column
+        // faces the same noise realisations.
+        let mut config = PipelineConfig::tiny();
+        let artifacts = Pipeline::new(config.clone()).run();
+        // Idle noise on, so matched seeds are what makes the columns agree.
+        config.sim.idle_lambda = 1.5;
+        let traces = &artifacts.real_traces;
+        let c = compare_policies(&config, &artifacts, traces, 11);
+        assert_eq!(
+            c.policy_names,
+            ["default", "handcrafted", "gru-drl", "extracted-fsm"]
+        );
+        let typed = evaluate_policy(&mut DefaultPolicy, &config.sim, traces, 11);
+        let col = c.column("default").unwrap();
+        let vector: Vec<usize> = c.makespans.iter().map(|row| row[col]).collect();
+        let typed: Vec<usize> = typed.iter().map(|m| m.makespan).collect();
+        assert_eq!(vector, typed);
     }
 
     #[test]

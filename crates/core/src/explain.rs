@@ -205,18 +205,19 @@ pub fn explain_fsm(fsm: &Fsm, trajectory: &Trajectory, cfg: &SimConfig) -> Strin
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
-    use lahd_fsm::Policy as _;
-    use lahd_sim::StorageSim;
+    use crate::scenario::run_rollout;
 
     fn report_for_tiny_pipeline() -> (String, usize) {
         let config = PipelineConfig::tiny();
-        let artifacts = Pipeline::new(config.clone()).run();
-        let mut policy =
-            artifacts.fsm_policy(config.sim.clone(), config.metric, config.nn_matching);
+        let pipeline = Pipeline::new(config.clone());
+        let artifacts = pipeline.run();
+        let mut policy = artifacts.fsm_executor(config.metric, config.nn_matching);
         policy.record_trajectory(true);
-        policy.reset();
-        let mut sim = StorageSim::new(config.sim.clone(), artifacts.real_traces[0].clone(), 1);
-        sim.run_with(|obs| policy.act(obs));
+        let rollout =
+            pipeline
+                .scenario()
+                .make_rollout(&config.sim, artifacts.real_traces[0].clone(), 1);
+        run_rollout(rollout, &mut policy);
         let trajectory = policy.take_trajectory();
         let report = explain_fsm(&artifacts.fsm, &trajectory, &config.sim);
         (report, artifacts.fsm.num_states())

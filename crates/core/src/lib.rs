@@ -4,8 +4,9 @@
 //! 1. model a storage decision problem as an MDP over a [`lahd_sim`]
 //!    simulator (a registered [`Scenario`]; the default
 //!    [`ScenarioId::DoradoMigration`] is the paper's core-allocation
-//!    problem via [`StorageEnv`] and [`RewardMode`], and
-//!    [`ScenarioId::Readahead`] is learned readahead sizing);
+//!    problem and [`ScenarioId::Readahead`] is learned readahead sizing;
+//!    every scenario trains on a [`RolloutEnv`] rewarded by a
+//!    [`RewardMode`]);
 //! 2. train a GRU-based A2C agent with curriculum learning
 //!    ([`Pipeline::train_with_curriculum`]);
 //! 3. roll the trained agent out to collect the `⟨h, h′, o, a⟩` transition
@@ -15,8 +16,8 @@
 //! 5. extract and minimise the finite state machine
 //!    ([`Pipeline::extract`]);
 //! 6. evaluate the white-box FSM against the DRL teacher and the paper's
-//!    baselines ([`Comparison`]), and interpret its states (via
-//!    [`lahd_fsm::interpret_states`]).
+//!    baselines ([`compare_policies`], Figure 4), and interpret its states
+//!    (via [`lahd_fsm::interpret_states`]).
 //!
 //! # Quickstart
 //!
@@ -41,8 +42,8 @@ mod scenario;
 
 pub use args::Args;
 pub use artifacts::{load_artifacts, load_artifacts_checked, save_artifacts, ArtifactError};
-pub use env::{RewardMode, StorageEnv};
-pub use eval::{evaluate_policy, evaluate_vec_policy, Comparison, GruPolicy, GruVecPolicy};
+pub use env::RewardMode;
+pub use eval::{compare_policies, evaluate_policy, evaluate_vec_policy, Comparison, GruVecPolicy};
 pub use explain::explain_fsm;
 pub use guard_eval::{build_ladder, guard_eval, resolve_baseline, GuardEvalConfig, SHADOW_TIER};
 pub use oracle::{best_static_allocation, OracleResult};

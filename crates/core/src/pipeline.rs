@@ -3,7 +3,7 @@
 //! networks → extract and minimise a finite state machine → wrap it as a
 //! deployable white-box policy.
 
-use lahd_fsm::{extract_fsm, merge_compatible, minimize, Fsm, FsmExecutor, FsmPolicy, Metric};
+use lahd_fsm::{extract_fsm, merge_compatible, minimize, Fsm, FsmExecutor, Metric};
 use lahd_nn::Graph;
 use lahd_qbn::{Qbn, QbnConfig, QbnTrainConfig, TransitionDataset, TransitionRow};
 use lahd_rl::{train_curriculum, A2cConfig, A2cTrainer, EpochLog, Phase, RecurrentActorCritic};
@@ -12,7 +12,6 @@ use lahd_tensor::{seeded_rng, Matrix};
 use lahd_workload::{real_trace_set, standard_trace_set, WorkloadTrace};
 
 use crate::env::RewardMode;
-use crate::eval::GruPolicy;
 use crate::scenario::{Scenario, ScenarioId};
 
 /// Everything the pipeline needs to run end-to-end.
@@ -218,23 +217,7 @@ pub struct PipelineArtifacts {
 }
 
 impl PipelineArtifacts {
-    /// A fresh greedy GRU policy over the trained agent.
-    pub fn gru_policy(&self, sim_cfg: SimConfig) -> GruPolicy {
-        GruPolicy::new(self.agent.clone(), sim_cfg)
-    }
-
-    /// A fresh extracted-FSM policy (Dorado-typed evaluation interface).
-    pub fn fsm_policy(&self, sim_cfg: SimConfig, metric: Metric, nn_matching: bool) -> FsmPolicy {
-        FsmPolicy::new(
-            self.fsm.clone(),
-            self.obs_qbn.clone(),
-            sim_cfg,
-            metric,
-            nn_matching,
-        )
-    }
-
-    /// A fresh scenario-generic FSM executor over observation vectors.
+    /// A fresh executor of the extracted machine over observation vectors.
     pub fn fsm_executor(&self, metric: Metric, nn_matching: bool) -> FsmExecutor {
         FsmExecutor::new(self.fsm.clone(), self.obs_qbn.clone(), metric, nn_matching)
     }
@@ -684,8 +667,8 @@ pub fn action_names() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lahd_fsm::Policy as _;
-    use lahd_sim::{Observation, StorageSim};
+    use crate::scenario::run_rollout;
+    use lahd_sim::Observation;
 
     #[test]
     fn tiny_pipeline_runs_end_to_end() {
@@ -703,12 +686,13 @@ mod tests {
         );
 
         // The extracted policy must run on a real trace without panicking.
-        let cfg = pipeline.config.sim.clone();
-        let mut policy = artifacts.fsm_policy(cfg.clone(), Metric::Euclidean, true);
-        policy.reset();
-        let mut sim = StorageSim::new(cfg, artifacts.real_traces[0].clone(), 0);
-        let metrics = sim.run_with(|obs| policy.act(obs));
-        assert!(!metrics.truncated);
+        let mut policy = artifacts.fsm_executor(Metric::Euclidean, true);
+        let rollout = pipeline.scenario().make_rollout(
+            &pipeline.config.sim,
+            artifacts.real_traces[0].clone(),
+            0,
+        );
+        assert!(!run_rollout(rollout, &mut policy).truncated);
     }
 
     #[test]

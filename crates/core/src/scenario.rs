@@ -8,10 +8,9 @@
 //!
 //! * the observation dimensionality and the discrete action set (with
 //!   display names for reports and DOT export);
-//! * an environment factory over a [`WorkloadTrace`] for training
-//!   ([`Scenario::make_env`], returning a [`lahd_rl::Env`]);
-//! * a rollout factory for dataset collection, fine-tuning and evaluation
-//!   ([`Scenario::make_rollout`]);
+//! * a rollout factory for training, dataset collection, fine-tuning and
+//!   evaluation ([`Scenario::make_rollout`]; training wraps it in a
+//!   [`RolloutEnv`] via `make_env`);
 //! * the evaluation baselines domain experts would compare against
 //!   ([`Scenario::baselines`]).
 //!
@@ -28,7 +27,7 @@ use lahd_sim::{
     Action, Observation, ReadaheadConfig, ReadaheadSim, SimConfig, StorageSim, WorkloadTrace,
 };
 
-use crate::env::{RewardMode, StorageEnv};
+use crate::env::RewardMode;
 
 /// A single policy rollout of a scenario simulator: the minimal surface the
 /// pipeline needs to collect transition datasets, fine-tune QBNs in the
@@ -77,14 +76,6 @@ pub trait Scenario: Send + Sync {
     fn num_actions(&self) -> usize;
     /// Action display names in index order.
     fn action_names(&self) -> Vec<String>;
-    /// Builds a training environment over one trace.
-    fn make_env(
-        &self,
-        sim: &SimConfig,
-        trace: WorkloadTrace,
-        reward: RewardMode,
-        seed: u64,
-    ) -> Box<dyn Env>;
     /// Builds a fresh single-episode rollout over one trace.
     fn make_rollout(
         &self,
@@ -114,12 +105,24 @@ pub fn run_rollout(
     }
 }
 
-/// Generic training [`Env`] over a scenario's rollout factory: the same
-/// reset/seeding discipline as [`StorageEnv`] (the per-episode noise seed
-/// advances by a golden-ratio stride from the base seed) and the same
-/// [`RewardMode`] wiring, so a new scenario gets a training environment for
-/// free from its [`Scenario::make_rollout`]. (The Dorado scenario keeps its
-/// original typed [`StorageEnv`], whose numerics this mirrors.)
+impl dyn Scenario {
+    /// Builds the training environment over one trace: a [`RolloutEnv`]
+    /// over this scenario's rollout factory. Every scenario trains on it.
+    pub fn make_env(
+        &'static self,
+        sim: &SimConfig,
+        trace: WorkloadTrace,
+        reward: RewardMode,
+        seed: u64,
+    ) -> Box<dyn Env> {
+        Box::new(RolloutEnv::new(self, sim.clone(), trace, reward, seed))
+    }
+}
+
+/// The training [`Env`] over a scenario's rollout factory. Each reset builds
+/// a fresh rollout whose noise seed advances by a golden-ratio stride from
+/// the base seed, so training sees varied noise while staying reproducible
+/// end to end; each step is rewarded by the configured [`RewardMode`].
 pub struct RolloutEnv {
     scenario: &'static dyn Scenario,
     sim: SimConfig,
@@ -314,16 +317,6 @@ impl Scenario for DoradoMigration {
         Action::ALL.iter().map(|a| a.to_string()).collect()
     }
 
-    fn make_env(
-        &self,
-        sim: &SimConfig,
-        trace: WorkloadTrace,
-        reward: RewardMode,
-        seed: u64,
-    ) -> Box<dyn Env> {
-        Box::new(StorageEnv::new(sim.clone(), trace, reward, seed))
-    }
-
     fn make_rollout(
         &self,
         sim: &SimConfig,
@@ -419,12 +412,11 @@ impl VecPolicy for SeqShareReadahead {
 
 impl ReadaheadScenario {
     /// The single source of the scenario's readahead configuration: every
-    /// trait method (action space, env, rollout, baselines) derives from
-    /// this constructor, so the registered scenario's window ladder —
-    /// pinned to [`ReadaheadConfig::DEFAULT_WINDOWS`] by `from_base` —
-    /// cannot diverge between the trained agent and the environments.
-    /// (Custom window ladders are a `ReadaheadEnv`/`ReadaheadSim` library
-    /// affair, outside the registry.)
+    /// trait method (action space, rollout, baselines) derives from this
+    /// constructor, so the registered scenario's window ladder — pinned to
+    /// [`ReadaheadConfig::DEFAULT_WINDOWS`] by `from_base` — cannot diverge
+    /// between the trained agent and the environments. (Custom window
+    /// ladders are a `ReadaheadSim` library affair, outside the registry.)
     fn config(sim: &SimConfig) -> ReadaheadConfig {
         ReadaheadConfig::from_base(sim.clone())
     }
@@ -449,22 +441,6 @@ impl Scenario for ReadaheadScenario {
 
     fn action_names(&self) -> Vec<String> {
         Self::config(&SimConfig::default()).action_names()
-    }
-
-    fn make_env(
-        &self,
-        sim: &SimConfig,
-        trace: WorkloadTrace,
-        reward: RewardMode,
-        seed: u64,
-    ) -> Box<dyn Env> {
-        Box::new(RolloutEnv::new(
-            &ReadaheadScenario,
-            sim.clone(),
-            trace,
-            reward,
-            seed,
-        ))
     }
 
     fn make_rollout(
@@ -543,6 +519,53 @@ mod tests {
     }
 
     #[test]
+    fn dorado_env_matches_a_hand_stepped_storage_sim() {
+        // The Dorado training env is the generic RolloutEnv; pin it to the
+        // simulator stepped by hand with the per-episode seed stride and the
+        // RewardMode arithmetic, bit for bit, over noisy episodes.
+        let cfg = SimConfig {
+            idle_lambda: 2.0,
+            ..SimConfig::default()
+        };
+        let trace = standard_trace_set(12, 0).remove(0);
+        let horizon = trace.len() as f32;
+        let base_seed = 41u64;
+        for reward in [RewardMode::paper(), RewardMode::shaped()] {
+            let mut env =
+                ScenarioId::DoradoMigration
+                    .get()
+                    .make_env(&cfg, trace.clone(), reward, base_seed);
+            for episode in 0..2u64 {
+                let seed = base_seed.wrapping_add(episode.wrapping_mul(0x9E37_79B9));
+                let mut sim = StorageSim::new(cfg.clone(), trace.clone(), seed);
+                assert_eq!(env.reset(), sim.observation().to_vector(&cfg));
+                let mut t = 0usize;
+                loop {
+                    let action = (t * 3 + episode as usize) % Action::COUNT;
+                    let result = sim.step(Action::from_index(action));
+                    let mut expected =
+                        reward.step_reward(result.backlog_kib, cfg.ideal_capability_kib(), horizon);
+                    if result.done {
+                        expected += reward.terminal_reward(horizon, sim.makespan() as f32);
+                    }
+                    let tr = env.step(action);
+                    assert_eq!(
+                        tr.obs,
+                        sim.observation().to_vector(&cfg),
+                        "{reward:?} t={t}"
+                    );
+                    assert_eq!(tr.reward.to_bits(), expected.to_bits(), "{reward:?} t={t}");
+                    assert_eq!(tr.done, result.done, "{reward:?} t={t}");
+                    t += 1;
+                    if tr.done {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn rollouts_complete_under_every_baseline() {
         let trace = standard_trace_set(8, 0).remove(0);
         for id in ScenarioId::ALL {
@@ -584,28 +607,26 @@ mod tests {
             ..SimConfig::default()
         };
         let trace = standard_trace_set(10, 0).remove(0);
-        let run = || {
-            let mut env = ScenarioId::Readahead.get().make_env(
-                &noisy,
-                trace.clone(),
-                RewardMode::shaped(),
-                3,
-            );
-            let mut steps = Vec::new();
-            for _ in 0..2 {
-                env.reset();
-                let mut k = 0usize;
-                loop {
-                    k += 1;
-                    if env.step(2).done {
-                        break;
+        for id in ScenarioId::ALL {
+            let run = || {
+                let mut env = id
+                    .get()
+                    .make_env(&noisy, trace.clone(), RewardMode::shaped(), 3);
+                let mut rewards = Vec::new();
+                for _ in 0..2 {
+                    env.reset();
+                    loop {
+                        let tr = env.step(2);
+                        rewards.push(tr.reward);
+                        if tr.done {
+                            break;
+                        }
                     }
                 }
-                steps.push(k);
-            }
-            steps
-        };
-        assert_eq!(run(), run());
+                rewards
+            };
+            assert_eq!(run(), run(), "{id}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   dataset;
 //! * [`minimize`] — partition-refinement minimisation (merging
 //!   behaviourally equivalent states, as in Koul et al.);
-//! * [`FsmPolicy`] — executes the machine against the simulator, with the
-//!   paper's nearest-neighbour fallback ([`Metric`]) for unseen
+//! * [`FsmExecutor`] — executes the machine over observation vectors, with
+//!   the paper's nearest-neighbour fallback ([`Metric`]) for unseen
 //!   observations;
 //! * [`DefaultPolicy`] / [`HandcraftedFsm`] — the paper's comparison
 //!   baselines (no migration; min-util → max-util migration);
@@ -50,7 +50,7 @@ pub use machine::{Fsm, FsmIndex, FsmState, ObsSymbol};
 pub use matching::{CentroidIndex, Metric};
 pub use minimize::{merge_compatible, minimize};
 pub use persist::{read_fsm, write_fsm, FsmPersistError};
-pub use policy::{FsmExecutor, FsmPolicy, FsmRunStats, Policy, TrajStep, Trajectory, VecPolicy};
+pub use policy::{FsmExecutor, FsmRunStats, Policy, TrajStep, Trajectory, VecPolicy};
 
 // Re-exported so downstream crates that build executors (the serving
 // daemon, eval harnesses) can name the observation encoder's type without

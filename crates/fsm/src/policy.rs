@@ -1,4 +1,4 @@
-//! The policy abstractions and the extracted-FSM policy.
+//! The policy abstractions and the extracted-FSM executor.
 //!
 //! Two levels of abstraction coexist here:
 //!
@@ -7,16 +7,15 @@
 //!   neural policies and generic baselines all speak this language, which
 //!   is what lets the extraction pipeline run over any storage scenario.
 //! * [`Policy`] — the Dorado-typed controller over
-//!   [`lahd_sim::Observation`] / [`lahd_sim::Action`], kept as the
-//!   interface of the original case study's evaluation harness.
+//!   [`lahd_sim::Observation`] / [`lahd_sim::Action`], the interface of the
+//!   expert baselines, which read the simulator's unrounded utilisations.
 //!
-//! [`FsmExecutor`] is the scenario-generic machine executor;
-//! [`FsmPolicy`] wraps it with the Dorado observation normalisation.
+//! [`FsmExecutor`] executes an extracted machine as a [`VecPolicy`].
 
 use std::sync::Arc;
 
 use lahd_qbn::{EncodeScratch, Qbn};
-use lahd_sim::{Action, Observation, SimConfig};
+use lahd_sim::{Action, Observation};
 
 use crate::compile::compile_fsm;
 use crate::compiled::{CompiledFsm, CompiledScratch};
@@ -357,94 +356,15 @@ impl VecPolicy for FsmExecutor {
     }
 }
 
-/// Executes an extracted [`Fsm`] as a Dorado simulator policy: the
-/// [`FsmExecutor`] behind the [`Observation`] normalisation of the original
-/// case study.
-pub struct FsmPolicy {
-    exec: FsmExecutor,
-    sim_cfg: SimConfig,
-}
-
-impl FsmPolicy {
-    /// Wraps an extracted machine with its observation quantizer.
-    ///
-    /// `sim_cfg` must be the configuration used for observation
-    /// normalisation during training. `nn_matching` toggles the paper's
-    /// nearest-neighbour generalisation (§3.2.2); with it off the machine
-    /// holds its state on unseen input (ablation baseline).
-    pub fn new(
-        fsm: Fsm,
-        obs_qbn: Qbn,
-        sim_cfg: SimConfig,
-        metric: Metric,
-        nn_matching: bool,
-    ) -> Self {
-        Self {
-            exec: FsmExecutor::new(fsm, obs_qbn, metric, nn_matching),
-            sim_cfg,
-        }
-    }
-
-    /// Enables trajectory recording (needed for interpretation).
-    pub fn record_trajectory(&mut self, on: bool) {
-        self.exec.record_trajectory(on);
-    }
-
-    /// Takes the recorded trajectory, leaving recording enabled.
-    pub fn take_trajectory(&mut self) -> Trajectory {
-        self.exec.take_trajectory()
-    }
-
-    /// Execution statistics since the last [`FsmPolicy::reset`].
-    pub fn stats(&self) -> FsmRunStats {
-        self.exec.stats()
-    }
-
-    /// The wrapped machine.
-    pub fn fsm(&self) -> &Fsm {
-        self.exec.fsm()
-    }
-
-    /// Current FSM state id.
-    pub fn current_state(&self) -> usize {
-        self.exec.current_state()
-    }
-
-    /// Lifetime unseen-observation count (survives resets); see
-    /// [`FsmExecutor::unseen_count`].
-    pub fn unseen_count(&self) -> u64 {
-        self.exec.unseen_count()
-    }
-
-    /// The scenario-generic executor inside this policy.
-    pub fn executor(&self) -> &FsmExecutor {
-        &self.exec
-    }
-}
-
-impl Policy for FsmPolicy {
-    fn reset(&mut self) {
-        VecPolicy::reset(&mut self.exec);
-    }
-
-    fn act(&mut self, obs: &Observation) -> Action {
-        let v = obs.to_vector(&self.sim_cfg);
-        Action::from_index(self.exec.step_vec(&v))
-    }
-
-    fn name(&self) -> &str {
-        VecPolicy::name(&self.exec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::testutil::two_state_fsm;
     use lahd_qbn::QbnConfig;
-    use lahd_sim::{canonical_io_classes, IntervalWorkload, NUM_IO_CLASSES};
+    use lahd_sim::{canonical_io_classes, IntervalWorkload, SimConfig, NUM_IO_CLASSES};
 
-    fn obs(requests: f64) -> Observation {
+    /// A normalised Dorado observation vector carrying `requests` requests.
+    fn obs(requests: f64) -> Vec<f32> {
         let mut mix = [0.0; NUM_IO_CLASSES];
         mix[0] = 1.0;
         Observation::new(
@@ -453,9 +373,10 @@ mod tests {
             &canonical_io_classes(),
             &IntervalWorkload::new(mix, requests),
         )
+        .to_vector(&SimConfig::default())
     }
 
-    fn policy(nn: bool) -> FsmPolicy {
+    fn policy(nn: bool) -> FsmExecutor {
         // The toy FSM uses 1-entry codes; build a matching QBN over the
         // 35-dim observation space with latent width 1.
         let qbn = Qbn::new(QbnConfig::with_dims(Observation::DIM, 1), 5);
@@ -466,15 +387,15 @@ mod tests {
         fsm.symbols[1].centroid = vec![0.5; dim];
         // Align symbol codes with what the QBN actually produces so exact
         // lookup can fire for at least one input.
-        fsm.symbols[0].code = qbn.encode(&obs(100.0).to_vector(&SimConfig::default()));
-        FsmPolicy::new(fsm, qbn, SimConfig::default(), Metric::Euclidean, nn)
+        fsm.symbols[0].code = qbn.encode(&obs(100.0));
+        FsmExecutor::new(fsm, qbn, Metric::Euclidean, nn)
     }
 
     #[test]
     fn starts_in_initial_state_and_resets() {
         let mut p = policy(true);
         assert_eq!(p.current_state(), 0);
-        p.act(&obs(100.0));
+        p.act_vec(&obs(100.0));
         p.reset();
         assert_eq!(p.current_state(), 0);
         assert_eq!(p.stats().steps, 0);
@@ -483,27 +404,11 @@ mod tests {
     #[test]
     fn exact_symbol_match_fires_transition() {
         let mut p = policy(true);
-        let a = p.act(&obs(100.0));
+        let a = p.act_vec(&obs(100.0));
         // Symbol 0 from state 0 goes to state 1, which emits action 1.
         assert_eq!(p.current_state(), 1);
-        assert_eq!(a, Action::from_index(1));
+        assert_eq!(a, 1);
         assert_eq!(p.stats().unseen_observations, 0);
-    }
-
-    #[test]
-    fn executor_and_policy_agree_on_vectors() {
-        let mut p = policy(true);
-        let qbn = Qbn::new(QbnConfig::with_dims(Observation::DIM, 1), 5);
-        let mut fsm = two_state_fsm();
-        fsm.symbols[0].centroid = vec![0.0; Observation::DIM];
-        fsm.symbols[1].centroid = vec![0.5; Observation::DIM];
-        fsm.symbols[0].code = qbn.encode(&obs(100.0).to_vector(&SimConfig::default()));
-        let mut exec = FsmExecutor::new(fsm, qbn, Metric::Euclidean, true);
-        for q in [100.0, 400.0, 100.0, 8000.0] {
-            let o = obs(q);
-            let v = o.to_vector(&SimConfig::default());
-            assert_eq!(p.act(&o).index(), exec.act_vec(&v));
-        }
     }
 
     #[test]
@@ -511,7 +416,7 @@ mod tests {
         let mut p = policy(true);
         // A very different observation: unlikely to hit the aligned code.
         let weird = obs(8000.0);
-        p.act(&weird);
+        p.act_vec(&weird);
         let stats = p.stats();
         assert_eq!(stats.steps, 1);
         // Either the code happened to collide (fine) or NN matching was
@@ -524,7 +429,7 @@ mod tests {
         let mut p = policy(false);
         let weird = obs(8000.0);
         let before = p.current_state();
-        p.act(&weird);
+        p.act_vec(&weird);
         let stats = p.stats();
         if stats.unseen_observations > 0 {
             assert_eq!(
@@ -567,8 +472,8 @@ mod tests {
     fn trajectory_records_steps() {
         let mut p = policy(true);
         p.record_trajectory(true);
-        p.act(&obs(100.0));
-        p.act(&obs(100.0));
+        p.act_vec(&obs(100.0));
+        p.act_vec(&obs(100.0));
         let traj = p.take_trajectory();
         assert_eq!(traj.steps.len(), 2);
         assert_eq!(traj.steps[0].from_state, 0);

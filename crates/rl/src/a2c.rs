@@ -36,17 +36,14 @@ pub struct A2cConfig {
     /// two modes are bit-identical; the flag exists so equivalence tests
     /// can pin that.
     pub reuse_graph: bool,
-    /// Whether [`A2cTrainer::train_batch`] uses the worker pool at all —
-    /// for rollouts *and* for sharded BPTT replay. When `false` everything
-    /// runs on the caller's thread. Either way each environment draws from
-    /// its own deterministically-seeded RNG and gradients reduce in fixed
-    /// episode order, so the results are bit-identical.
-    pub parallel_rollouts: bool,
     /// Worker-pool size for batched rollouts and sharded episode replay.
-    /// `0` (the default) sizes the pool to `std::thread::available_parallelism`.
-    /// The pool never exceeds the number of environments/episodes; work is
-    /// sharded contiguously across workers. Results are bit-identical for
-    /// every pool size (see `tests/equivalence.rs`).
+    /// `0` (the default) sizes the pool to `std::thread::available_parallelism`;
+    /// `1` runs everything on the caller's thread. The pool never exceeds
+    /// the number of environments/episodes; work is sharded contiguously
+    /// across workers. Each environment draws from its own
+    /// deterministically-seeded RNG and gradients reduce in fixed episode
+    /// order, so results are bit-identical for every pool size (see
+    /// `tests/equivalence.rs`).
     pub num_workers: usize,
     /// Precision of the packed [`InferEngine`] the rollout/evaluation paths
     /// run on. The default [`Precision::Exact`] keeps rollouts bit-identical
@@ -69,7 +66,6 @@ impl Default for A2cConfig {
             epsilon: 0.1,
             normalize_advantages: true,
             reuse_graph: true,
-            parallel_rollouts: true,
             num_workers: 0,
             infer_precision: Precision::Exact,
         }
@@ -234,10 +230,9 @@ impl A2cTrainer {
     }
 
     /// Resolved worker-pool size for `jobs` independent work items: the
-    /// configured (or auto-detected) pool, clamped to the job count, or 1
-    /// when pooling is disabled.
+    /// configured (or auto-detected) pool, clamped to the job count.
     fn pool_size(&self, jobs: usize) -> usize {
-        if !self.config.parallel_rollouts || jobs <= 1 {
+        if jobs <= 1 {
             return 1;
         }
         let cap = if self.config.num_workers == 0 {

@@ -107,15 +107,14 @@ fn assert_stores_identical(a: &RecurrentActorCritic, b: &RecurrentActorCritic, a
 /// Sharded `train_batch` — rollouts *and* BPTT replay on a fixed worker
 /// pool, per-episode tapes, gradients reduced in episode order — must be
 /// bit-identical to the serial path for every pool size. Five environments
-/// across pools of 1/2/4 exercise uneven shards (2+2+1) and a pool smaller
+/// across pools of 2/4 exercise uneven shards (2+2+1) and a pool smaller
 /// than the batch.
 #[test]
 fn sharded_train_batch_is_bit_identical_across_pool_sizes() {
-    let make_trainer = |num_workers: usize, parallel: bool| {
+    let make_trainer = |num_workers: usize| {
         let config = A2cConfig {
             learning_rate: 0.01,
             num_workers,
-            parallel_rollouts: parallel,
             ..A2cConfig::default()
         };
         A2cTrainer::new(RecurrentActorCritic::new(1, 12, 2, 33), config, 9)
@@ -124,9 +123,9 @@ fn sharded_train_batch_is_bit_identical_across_pool_sizes() {
     // advantage slices and shard boundaries are all uneven.
     let make_envs = || -> Vec<MemoryEnv> { (1..=5).map(MemoryEnv::new).collect() };
 
-    // Reference: pooling disabled entirely (pure serial caller-thread
-    // path), with the agent snapshotted after every update.
-    let mut serial = make_trainer(1, false);
+    // Reference: a pool of one (pure serial caller-thread path), with the
+    // agent snapshotted after every update.
+    let mut serial = make_trainer(1);
     let mut serial_envs = make_envs();
     let mut reports = Vec::new();
     let mut snapshots = Vec::new();
@@ -137,8 +136,8 @@ fn sharded_train_batch_is_bit_identical_across_pool_sizes() {
         snapshots.push(serial.agent.clone());
     }
 
-    for pool in [1usize, 2, 4] {
-        let mut sharded = make_trainer(pool, true);
+    for pool in [2usize, 4] {
+        let mut sharded = make_trainer(pool);
         let mut envs = make_envs();
         for (update, (serial_report, snapshot)) in reports.iter().zip(&snapshots).enumerate() {
             let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();

@@ -51,9 +51,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Bounded per-shard queue capacity (admission control trips beyond).
     pub queue_capacity: usize,
-    /// Maximum requests drained into one batch. Clamped below the blocked-
-    /// GEMM row cutoff so batching never changes per-row results.
-    pub batch_max: usize,
     /// Maximum live streams per shard; excess streams are shed.
     pub max_streams: usize,
     /// Whether chaos requests ([`Request::Crash`], [`Request::Hold`]) are
@@ -62,9 +59,6 @@ pub struct ServeConfig {
     /// Decisions between periodic full-guard audits of a compact stream
     /// (staggered per stream; 0 disables audits).
     pub audit_every: u64,
-    /// Maximum concurrently materialized audits per shard; further due
-    /// audits are deferred, not skipped.
-    pub audit_budget: usize,
     /// Idle shard ticks (batches or 20 ms idle intervals) before a compact
     /// stream hibernates into the arena (0 disables hibernation).
     pub hibernate_after: u64,
@@ -89,11 +83,9 @@ impl Default for ServeConfig {
         Self {
             shards: 2,
             queue_capacity: 64,
-            batch_max: 12,
             max_streams: 1024,
             allow_chaos: false,
             audit_every: 4096,
-            audit_budget: 8,
             hibernate_after: 512,
             sweep_every: 32,
             max_hibernated: 1 << 20,
@@ -105,18 +97,14 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Clamps fields into their safe ranges (at least one shard, batch
-    /// size below the blocked-GEMM cutoff, non-zero queue).
+    /// Clamps fields into their safe ranges (at least one shard, non-zero
+    /// queue).
     pub fn sanitized(mut self) -> Self {
         self.shards = self.shards.clamp(1, 256);
         self.queue_capacity = self.queue_capacity.max(1);
-        // lahd_tensor::gemm::BLOCK_MIN_ROWS is 16; staying strictly below
-        // keeps every batch on the per-row GEMV path (bit-stable rows).
-        self.batch_max = self.batch_max.clamp(1, 15);
         self.max_streams = self.max_streams.max(1);
         self.sweep_every = self.sweep_every.max(1);
         self.max_hibernated = self.max_hibernated.max(1);
-        self.audit_budget = self.audit_budget.max(1);
         self
     }
 }

@@ -75,6 +75,16 @@ use crate::persist::{self, ShardPersist};
 use crate::protocol::{Response, Source};
 use crate::stream_table::{StreamRef, StreamSet, StreamTable};
 
+/// Maximum requests a shard drains into one batch. Strictly below the
+/// blocked-GEMM row cutoff, so every batch stays on the per-row GEMV path
+/// and batching never changes a row's result.
+pub const BATCH_MAX: usize = 12;
+const _: () = assert!(BATCH_MAX < lahd_tensor::gemm::BLOCK_MIN_ROWS);
+
+/// Maximum concurrently materialized audits per shard; further due audits
+/// are deferred, not skipped.
+const AUDIT_BUDGET: usize = 8;
+
 /// Ladder tier indices, matching `lahd_core::build_ladder`.
 pub const TIER_FSM: usize = 0;
 /// Quantized-i8 net tier.
@@ -401,7 +411,7 @@ impl ShardState {
             fsm_scalar,
             fsm_states: Vec::new(),
             fsm_outcomes: Vec::new(),
-            batched: StreamSet::with_capacity(shared.cfg.batch_max),
+            batched: StreamSet::with_capacity(BATCH_MAX),
             micro_cfg: MicroConfig::default(),
             tick: 0,
             clock_hand: 0,
@@ -663,7 +673,7 @@ impl ShardState {
                         self.materialize(r, &req.obs, action, false);
                     }
                     MicroVerdict::Healthy if audit_due => {
-                        if self.audits_active < shared.cfg.audit_budget {
+                        if self.audits_active < AUDIT_BUDGET {
                             self.materialize(r, &req.obs, action, true);
                         } else if let Some(StreamEntry::Compact(compact)) = self.streams.get_mut(r)
                         {
@@ -1120,7 +1130,6 @@ pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>)
 
 fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
     let mut state = ShardState::fresh(index, shared);
-    let batch_max = shared.cfg.batch_max;
     let sweep_every = shared.cfg.sweep_every.max(1);
     let checkpoint_every = shared.cfg.checkpoint_every;
     loop {
@@ -1150,7 +1159,7 @@ fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
                 return;
             }
         };
-        let mut batch: Vec<DecideReq> = Vec::with_capacity(batch_max);
+        let mut batch: Vec<DecideReq> = Vec::with_capacity(BATCH_MAX);
         let mut control: Option<ShardMsg> = None;
         match first {
             ShardMsg::Decide {
@@ -1170,7 +1179,7 @@ fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
             }),
             other => control = Some(other),
         }
-        while control.is_none() && batch.len() < batch_max {
+        while control.is_none() && batch.len() < BATCH_MAX {
             match rx.try_recv() {
                 Ok(ShardMsg::Decide {
                     req_id,

@@ -10,9 +10,8 @@
 //! cargo run --release --example extract_and_interpret
 //! ```
 
-use lahd::core::{action_names, Pipeline, PipelineConfig};
-use lahd::fsm::{interpret_states, to_dot, Policy};
-use lahd::sim::StorageSim;
+use lahd::core::{action_names, run_rollout, Pipeline, PipelineConfig};
+use lahd::fsm::{interpret_states, to_dot, FsmExecutor};
 
 fn main() {
     let config = PipelineConfig::tiny();
@@ -67,21 +66,16 @@ fn main() {
 
     println!("[6/6] interpreting the machine on one real workload…");
     let names = action_names();
-    let mut policy = lahd::fsm::FsmPolicy::new(
-        fsm.clone(),
-        obs_qbn,
-        config.sim.clone(),
-        config.metric,
-        config.nn_matching,
-    );
+    let mut policy = FsmExecutor::new(fsm.clone(), obs_qbn, config.metric, config.nn_matching);
     policy.record_trajectory(true);
-    policy.reset();
-    let mut sim = StorageSim::new(config.sim.clone(), real_traces[0].clone(), 99);
-    let metrics = sim.run_with(|obs| policy.act(obs));
+    let rollout = pipeline
+        .scenario()
+        .make_rollout(&config.sim, real_traces[0].clone(), 99);
+    let outcome = run_rollout(rollout, &mut policy);
     let trajectory = policy.take_trajectory();
     println!(
         "      executed on {}: makespan {}",
-        real_traces[0].name, metrics.makespan
+        real_traces[0].name, outcome.score
     );
 
     let actions: Vec<usize> = fsm.states.iter().map(|s| s.action).collect();

@@ -10,8 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lahd::core::{action_names, Comparison, Pipeline, PipelineConfig};
-use lahd::fsm::{DefaultPolicy, HandcraftedFsm, Policy};
+use lahd::core::{action_names, compare_policies, Pipeline, PipelineConfig};
 
 fn main() {
     // `tiny()` runs in seconds; swap for `PipelineConfig::demo()` (minutes)
@@ -43,13 +42,7 @@ fn main() {
     }
 
     // Figure-4-style comparison on the training traces with fresh noise.
-    let mut default_policy = DefaultPolicy;
-    let mut handcrafted = HandcraftedFsm::tuned();
-    let mut gru = artifacts.gru_policy(config.sim.clone());
-    let mut fsm = artifacts.fsm_policy(config.sim.clone(), config.metric, config.nn_matching);
-    let mut policies: Vec<&mut dyn Policy> =
-        vec![&mut default_policy, &mut handcrafted, &mut gru, &mut fsm];
-    let comparison = Comparison::run(&mut policies, &config.sim, &artifacts.real_traces, 12345);
+    let comparison = compare_policies(&config, &artifacts, &artifacts.real_traces, 12345);
 
     println!("\nmakespan per policy (lower is better):");
     for (col, name) in comparison.policy_names.iter().enumerate() {

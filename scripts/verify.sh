@@ -3,6 +3,9 @@
 #
 # 1. `cargo build --release && cargo test -q` — the ROADMAP's tier-1 gate,
 #    covering every default workspace member — then
+#    `cargo check --workspace --all-targets`, so the figure/ablation
+#    harnesses and micro benches, which tier-1 never builds, still compile,
+#    then
 #    `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib`, so
 #    rustdoc link warnings fail verification.
 # 2. `cargo build --release --features simd` — the FMA GEMM microkernel and
@@ -69,6 +72,11 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+echo "== all-targets gate: cargo check --workspace --all-targets"
+# The bench targets (test = false) are not built by tier-1; a library API
+# change that breaks one fails here instead of at its next run.
+cargo check --workspace --all-targets
 
 echo "== doc gate: cargo doc --no-deps --workspace --lib, warnings denied"
 # Broken, private or ambiguous intra-doc links fail here instead of

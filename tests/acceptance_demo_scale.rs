@@ -13,8 +13,7 @@
 //! FSM; and the extracted white-box FSM stays within a few percent of its
 //! DRL teacher while also beating the handcrafted FSM.
 
-use lahd::core::{Comparison, Pipeline, PipelineConfig};
-use lahd::fsm::{DefaultPolicy, HandcraftedFsm, Policy};
+use lahd::core::{compare_policies, Pipeline, PipelineConfig};
 
 #[test]
 #[ignore = "trains the demo-scale pipeline (~10 minutes); run with -- --ignored"]
@@ -22,13 +21,7 @@ fn figure4_ordering_reproduces_at_demo_scale() {
     let config = PipelineConfig::demo();
     let artifacts = Pipeline::new(config.clone()).run();
 
-    let mut default_policy = DefaultPolicy;
-    let mut handcrafted = HandcraftedFsm::tuned();
-    let mut gru = artifacts.gru_policy(config.sim.clone());
-    let mut fsm = artifacts.fsm_policy(config.sim.clone(), config.metric, config.nn_matching);
-    let mut policies: Vec<&mut dyn Policy> =
-        vec![&mut default_policy, &mut handcrafted, &mut gru, &mut fsm];
-    let c = Comparison::run(&mut policies, &config.sim, &artifacts.real_traces, 999);
+    let c = compare_policies(&config, &artifacts, &artifacts.real_traces, 999);
 
     let d = c.mean_makespan(0);
     let h = c.mean_makespan(1);

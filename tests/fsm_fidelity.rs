@@ -4,9 +4,8 @@
 //! transitions. (Minimisation merges only action-identical, transition-
 //! compatible states, so recorded trajectories survive it unchanged.)
 
-use lahd::core::{Pipeline, PipelineConfig};
-use lahd::fsm::Policy;
-use lahd::sim::StorageSim;
+use lahd::core::{run_rollout, Pipeline, PipelineConfig};
+use lahd::fsm::FsmExecutor;
 
 fn deterministic_config() -> PipelineConfig {
     let mut config = PipelineConfig::tiny();
@@ -42,21 +41,16 @@ fn extracted_fsm_replays_quantized_network_exactly() {
     }
 
     // Replay each trace through the FSM with the same sim seeds.
-    let mut policy = lahd::fsm::FsmPolicy::new(
-        fsm,
-        obs_qbn,
-        config.sim.clone(),
-        config.metric,
-        config.nn_matching,
-    );
+    let mut policy = FsmExecutor::new(fsm, obs_qbn, config.metric, config.nn_matching);
     for (i, trace) in real_traces.iter().enumerate() {
-        policy.reset();
         let seed = config.seed.wrapping_add(i as u64);
-        let mut sim = StorageSim::new(config.sim.clone(), trace.clone(), seed);
-        let metrics = sim.run_with(|obs| policy.act(obs));
+        let rollout = pipeline
+            .scenario()
+            .make_rollout(&config.sim, trace.clone(), seed);
+        let outcome = run_rollout(rollout, &mut policy);
         let stats = policy.stats();
         assert_eq!(
-            metrics.makespan, quantized_lengths[i],
+            outcome.score, quantized_lengths[i],
             "trace {i}: FSM diverged from the quantized network"
         );
         assert_eq!(
@@ -83,11 +77,13 @@ fn fsm_policy_survives_unseen_noise_seeds() {
     config.sim.idle_lambda = 1.0;
     let pipeline = Pipeline::new(config.clone());
     let artifacts = pipeline.run();
-    let mut policy = artifacts.fsm_policy(config.sim.clone(), config.metric, config.nn_matching);
+    let mut policy = artifacts.fsm_executor(config.metric, config.nn_matching);
     for (i, trace) in artifacts.real_traces.iter().enumerate() {
-        policy.reset();
-        let mut sim = StorageSim::new(config.sim.clone(), trace.clone(), 777_000 + i as u64);
-        let metrics = sim.run_with(|obs| policy.act(obs));
-        assert!(!metrics.truncated, "trace {i} truncated under fresh noise");
+        let rollout =
+            pipeline
+                .scenario()
+                .make_rollout(&config.sim, trace.clone(), 777_000 + i as u64);
+        let outcome = run_rollout(rollout, &mut policy);
+        assert!(!outcome.truncated, "trace {i} truncated under fresh noise");
     }
 }

@@ -4,7 +4,7 @@
 use std::fs;
 use std::io::BufReader;
 
-use lahd::fsm::{read_fsm, write_fsm, FsmPolicy, Metric, Policy};
+use lahd::fsm::{read_fsm, write_fsm, FsmExecutor, Metric, VecPolicy};
 use lahd::nn::{read_params, write_params};
 use lahd::rl::RecurrentActorCritic;
 use lahd::sim::{Action, Observation, StorageSim};
@@ -60,28 +60,24 @@ fn fsm_roundtrip_preserves_policy_decisions() {
     let file = fs::File::open(&path).expect("open");
     let restored = read_fsm(&mut BufReader::new(file)).expect("parse");
 
-    let mut original = FsmPolicy::new(
+    let mut original = FsmExecutor::new(
         artifacts.fsm.clone(),
         artifacts.obs_qbn.clone(),
-        config.sim.clone(),
         Metric::Euclidean,
         true,
     );
-    let mut reloaded = FsmPolicy::new(
-        restored,
-        artifacts.obs_qbn.clone(),
-        config.sim.clone(),
-        Metric::Euclidean,
-        true,
-    );
+    let mut reloaded =
+        FsmExecutor::new(restored, artifacts.obs_qbn.clone(), Metric::Euclidean, true);
 
+    // Typed simulator runs, so the migration counts compare too.
+    let cfg = &config.sim;
     let trace = artifacts.real_traces[0].clone();
     original.reset();
     reloaded.reset();
-    let mut sim_a = StorageSim::new(config.sim.clone(), trace.clone(), 5);
-    let mut sim_b = StorageSim::new(config.sim.clone(), trace, 5);
-    let a = sim_a.run_with(|obs| original.act(obs));
-    let b = sim_b.run_with(|obs| reloaded.act(obs));
+    let mut sim_a = StorageSim::new(cfg.clone(), trace.clone(), 5);
+    let mut sim_b = StorageSim::new(cfg.clone(), trace, 5);
+    let a = sim_a.run_with(|obs| Action::from_index(original.act_vec(&obs.to_vector(cfg))));
+    let b = sim_b.run_with(|obs| Action::from_index(reloaded.act_vec(&obs.to_vector(cfg))));
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.migrations, b.migrations);
     let _ = fs::remove_dir_all(&dir);

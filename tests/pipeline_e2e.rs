@@ -1,7 +1,6 @@
 //! End-to-end integration test of the full pipeline across all crates.
 
-use lahd::core::{Comparison, Pipeline, PipelineConfig};
-use lahd::fsm::{DefaultPolicy, HandcraftedFsm, Policy};
+use lahd::core::{compare_policies, Pipeline, PipelineConfig};
 use lahd::sim::Action;
 
 #[test]
@@ -31,13 +30,8 @@ fn tiny_pipeline_produces_usable_artifacts() {
         .all(|s| s.action < Action::COUNT));
 
     // All four policies complete every training trace without truncation.
-    let mut default_policy = DefaultPolicy;
-    let mut handcrafted = HandcraftedFsm::tuned();
-    let mut gru = artifacts.gru_policy(config.sim.clone());
-    let mut fsm = artifacts.fsm_policy(config.sim.clone(), config.metric, config.nn_matching);
-    let mut policies: Vec<&mut dyn Policy> =
-        vec![&mut default_policy, &mut handcrafted, &mut gru, &mut fsm];
-    let comparison = Comparison::run(&mut policies, &config.sim, &artifacts.real_traces, 5);
+    let comparison = compare_policies(&config, &artifacts, &artifacts.real_traces, 5);
+    assert_eq!(comparison.policy_names.len(), 4);
     for row in &comparison.makespans {
         for (&k, name) in row.iter().zip(&comparison.policy_names) {
             assert!(
