@@ -12,7 +12,9 @@
 //! Run: `cargo bench -p lahd-bench --bench ablation_qbn_size`
 
 use lahd_bench::{banner, cached_artifacts, configure, experiments_dir};
-use lahd_core::{evaluate_vec_policy, Args, GruVecPolicy, Pipeline, RolloutOutcome, Table};
+use lahd_core::{
+    evaluate_vec_policy, Args, GruVecPolicy, Pipeline, Precision, RolloutOutcome, Table,
+};
 use lahd_fsm::FsmExecutor;
 
 fn main() {
@@ -25,7 +27,7 @@ fn main() {
     let scenario = pipeline.scenario();
 
     // GRU reference row.
-    let mut gru = GruVecPolicy::new(artifacts.agent.clone());
+    let mut gru = GruVecPolicy::new(artifacts.agent.clone(), Precision::Exact);
     let gru_mean = mean_makespan(evaluate_vec_policy(
         scenario,
         &cfg.sim,

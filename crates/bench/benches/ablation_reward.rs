@@ -10,7 +10,7 @@
 //! Run: `cargo bench -p lahd-bench --bench ablation_reward`
 
 use lahd_bench::{banner, configure, experiments_dir};
-use lahd_core::{evaluate_vec_policy, Args, GruVecPolicy, Pipeline, RewardMode, Table};
+use lahd_core::{evaluate_vec_policy, Args, GruVecPolicy, Pipeline, Precision, RewardMode, Table};
 
 fn main() {
     let args = Args::from_env();
@@ -38,7 +38,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let (agent, _) = pipeline.train_with_curriculum(&std_traces, &real_traces);
         let secs = t0.elapsed().as_secs_f64();
-        let mut policy = GruVecPolicy::new(agent);
+        let mut policy = GruVecPolicy::new(agent, Precision::Exact);
         let outcomes = evaluate_vec_policy(
             pipeline.scenario(),
             &variant.sim,

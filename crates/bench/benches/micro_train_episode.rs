@@ -54,16 +54,9 @@ impl Env for SyntheticEnv {
     }
 }
 
-fn trainer(hidden: usize, reuse_graph: bool) -> A2cTrainer {
+fn trainer(hidden: usize) -> A2cTrainer {
     let agent = RecurrentActorCritic::new(Observation::DIM, hidden, 7, 0);
-    A2cTrainer::new(
-        agent,
-        A2cConfig {
-            reuse_graph,
-            ..A2cConfig::default()
-        },
-        1,
-    )
+    A2cTrainer::new(agent, A2cConfig::default(), 1)
 }
 
 fn bench_train(c: &mut Criterion) {
@@ -71,27 +64,20 @@ fn bench_train(c: &mut Criterion) {
     group.sample_size(20);
 
     // Paper scale: GRU-128, 32-step horizon, rollout + BPTT update.
-    let mut t128 = trainer(128, true);
+    let mut t128 = trainer(128);
     let mut env = SyntheticEnv { t: 0 };
     group.bench_function("gru128_rollout_and_update", |b| {
         b.iter(|| std::hint::black_box(t128.train_episode(&mut env).loss))
     });
 
-    // Same, but rebuilding the tape from scratch every update — the cost
-    // Graph::reset()'s arena reuse removes.
-    let mut t128_fresh = trainer(128, false);
-    group.bench_function("gru128_rollout_and_update_fresh_tape", |b| {
-        b.iter(|| std::hint::black_box(t128_fresh.train_episode(&mut env).loss))
-    });
-
     // Demo scale for the trajectory.
-    let mut t48 = trainer(48, true);
+    let mut t48 = trainer(48);
     group.bench_function("gru48_rollout_and_update", |b| {
         b.iter(|| std::hint::black_box(t48.train_episode(&mut env).loss))
     });
 
     // Batched update across 4 environments (single synchronous step).
-    let mut tb = trainer(128, true);
+    let mut tb = trainer(128);
     let mut envs = [
         SyntheticEnv { t: 0 },
         SyntheticEnv { t: 0 },

@@ -79,7 +79,7 @@ fn config_fingerprint(cfg: &PipelineConfig) -> u64 {
 /// cached alongside the model files.
 pub fn cached_artifacts(cfg: &PipelineConfig) -> PipelineArtifacts {
     let dir = experiments_dir().join(format!("cache/{:016x}", config_fingerprint(cfg)));
-    match lahd_core::load_artifacts(cfg, &dir) {
+    match lahd_core::load_artifacts_checked(cfg, &dir).ok() {
         Some(artifacts) => {
             println!("[cache] reusing trained pipeline from {}", dir.display());
             artifacts
@@ -93,10 +93,6 @@ pub fn cached_artifacts(cfg: &PipelineConfig) -> PipelineArtifacts {
         }
     }
 }
-
-/// Re-export of the core artifact persistence (kept here for backward
-/// compatibility of the harnesses' imports).
-pub use lahd_core::{load_artifacts as load_artifacts_core, save_artifacts as save_artifacts_core};
 
 /// Moving average used to smooth the noisy per-epoch training series when
 /// summarising convergence behaviour.
@@ -140,7 +136,7 @@ mod tests {
         let dir = std::env::temp_dir().join("lahd-bench-cache-test");
         let _ = std::fs::remove_dir_all(&dir);
         lahd_core::save_artifacts(&artifacts, &dir).unwrap();
-        let loaded = lahd_core::load_artifacts(&cfg, &dir).expect("cache loads");
+        let loaded = lahd_core::load_artifacts_checked(&cfg, &dir).expect("cache loads");
         assert_eq!(loaded.fsm.num_states(), artifacts.fsm.num_states());
         assert_eq!(loaded.convergence.len(), artifacts.convergence.len());
         assert_eq!(loaded.raw_states, artifacts.raw_states);

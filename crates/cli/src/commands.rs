@@ -5,9 +5,9 @@ use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use lahd_core::{
-    best_static_allocation, compare_policies, explain_fsm, guard_eval, load_artifacts, run_rollout,
-    save_artifacts, Args, GuardEvalConfig, Pipeline, PipelineArtifacts, PipelineConfig, Precision,
-    ScenarioId, Table,
+    best_static_allocation, compare_policies, explain_fsm, guard_eval, load_artifacts_checked,
+    run_rollout, save_artifacts, Args, GuardEvalConfig, Pipeline, PipelineArtifacts,
+    PipelineConfig, Precision, ScenarioId, Table,
 };
 use lahd_fsm::{DefaultPolicy, HandcraftedFsm, Policy};
 use lahd_serve::{
@@ -96,7 +96,6 @@ fn usage() -> String {
      \x20            [--state-dir DIR (durable checkpoints + journal)]\n\
      \x20            [--checkpoint-every N (ticks; 0 = drain-only)] [--recover]\n\
      \x20            [--allow-chaos] [--scale …] [--scenario …]\n\
-     \x20            [--infer-precision exact|quantized]\n\
      \x20 serve-bench deterministic load + chaos harness for the daemon\n\
      \x20            --artifacts DIR [--socket FILE (external daemon)]\n\
      \x20            [--streams N] [--rounds N] [--requests N] [--rate R]\n\
@@ -168,20 +167,19 @@ fn scale_config(args: &Args) -> Result<PipelineConfig, CliError> {
     Ok(cfg)
 }
 
+/// The artifact directory every consumer reads: `--artifacts`. Only
+/// `pipeline` writes, and it takes the directory from `--out`.
 fn artifacts_dir(args: &Args) -> PathBuf {
-    PathBuf::from(
-        args.get("artifacts")
-            .or(args.get("out"))
-            .unwrap_or("lahd-artifacts"),
-    )
+    PathBuf::from(args.get("artifacts").unwrap_or("lahd-artifacts"))
 }
 
-fn load(args: &Args, cfg: &PipelineConfig) -> Result<PipelineArtifacts, CliError> {
-    let dir = artifacts_dir(args);
-    load_artifacts(cfg, &dir).ok_or_else(|| {
+/// Loads the artifacts in `dir` for `cfg`. The error names the directory,
+/// what is wrong with it, and how to produce matching artifacts.
+fn load(cfg: &PipelineConfig, dir: &Path) -> Result<PipelineArtifacts, CliError> {
+    load_artifacts_checked(cfg, dir).map_err(|e| {
         err(format!(
-            "no artifacts for this configuration (scenario {}) in {} — run `lahd pipeline` \
-             first (the --scenario/--scale/--hidden/--seed options must match)",
+            "cannot load artifacts (scenario {}) from {}: {e} — run `lahd pipeline` first \
+             (the --scenario/--scale/--hidden/--seed options must match)",
             cfg.scenario,
             dir.display()
         ))
@@ -190,7 +188,7 @@ fn load(args: &Args, cfg: &PipelineConfig) -> Result<PipelineArtifacts, CliError
 
 fn cmd_pipeline(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let cfg = scale_config(args)?;
-    let dir = artifacts_dir(args);
+    let dir = PathBuf::from(args.get("out").unwrap_or("lahd-artifacts"));
     writeln!(
         out,
         "training (hidden={}, epochs={}+{}, traces={}×{})…",
@@ -223,7 +221,7 @@ fn cmd_evaluate(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
             cfg.scenario
         )));
     }
-    let artifacts = load(args, &cfg)?;
+    let artifacts = load(&cfg, &artifacts_dir(args))?;
     let traces = if args.has_flag("heldout") {
         real_trace_set(10, cfg.trace_len, cfg.seed.wrapping_add(777_000))
     } else {
@@ -347,17 +345,7 @@ fn fault_plan(args: &Args, seed: u64) -> Result<FaultPlan, CliError> {
 
 fn cmd_guard_eval(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let cfg = scale_config(args)?;
-    // Unlike the other artifact consumers, --out here names the Markdown
-    // report, so the artifact directory comes from --artifacts alone.
-    let dir = PathBuf::from(args.get("artifacts").unwrap_or("lahd-artifacts"));
-    let artifacts = load_artifacts(&cfg, &dir).ok_or_else(|| {
-        err(format!(
-            "no artifacts for this configuration (scenario {}) in {} — run `lahd pipeline` \
-             first (the --scenario/--scale/--hidden/--seed options must match)",
-            cfg.scenario,
-            dir.display()
-        ))
-    })?;
+    let artifacts = load(&cfg, &artifacts_dir(args))?;
 
     let episodes = args.get_usize("episodes", 0);
     let mut eval = GuardEvalConfig {
@@ -421,16 +409,15 @@ fn serve_config(args: &Args) -> ServeConfig {
 
 fn cmd_serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let cfg = scale_config(args)?;
-    let dir = PathBuf::from(args.get("artifacts").unwrap_or("lahd-artifacts"));
+    let dir = artifacts_dir(args);
     let socket = PathBuf::from(args.get("socket").unwrap_or("lahd-serve.sock"));
     let serve_cfg = serve_config(args);
     let handle = serve_dir(&cfg, &dir, serve_cfg.clone(), &socket).map_err(err)?;
     writeln!(
         out,
-        "serving {} ({} precision) from {} on {} — {} shards, queue {}, batch {}; \
+        "serving {} from {} on {} — {} shards, queue {}, batch {}; \
          send a shutdown request to stop",
         cfg.scenario,
-        cfg.infer_precision.name(),
         dir.display(),
         socket.display(),
         serve_cfg.shards,
@@ -445,7 +432,7 @@ fn cmd_serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 
 fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let cfg = scale_config(args)?;
-    let dir = PathBuf::from(args.get("artifacts").unwrap_or("lahd-artifacts"));
+    let dir = artifacts_dir(args);
 
     // --streams-sweep N,N,… replaces the load/chaos phases with the
     // memory-scaling sweep: one self-hosted daemon per size, measured
@@ -674,13 +661,8 @@ fn inject_disk_faults(state_dir: &Path, seed: u64) -> Result<String, String> {
 
 fn cmd_serve_drill(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let cfg = scale_config(args)?;
-    let dir = PathBuf::from(args.get("artifacts").unwrap_or("lahd-artifacts"));
-    load_artifacts(&cfg, &dir).ok_or_else(|| {
-        err(format!(
-            "no artifacts for this configuration in {} — run `lahd pipeline` first",
-            dir.display()
-        ))
-    })?;
+    let dir = artifacts_dir(args);
+    load(&cfg, &dir)?;
     let exe =
         std::env::current_exe().map_err(|e| err(format!("cannot locate the lahd binary: {e}")))?;
     let work = args.get("work-dir").map(PathBuf::from).unwrap_or_else(|| {
@@ -763,7 +745,7 @@ fn cmd_serve_drill(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 
 fn cmd_explain(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let cfg = scale_config(args)?;
-    let artifacts = load(args, &cfg)?;
+    let artifacts = load(&cfg, &artifacts_dir(args))?;
     if cfg.scenario != ScenarioId::DoradoMigration {
         return Err(err(format!(
             "explain's narrative report reads the Dorado observation layout and \
@@ -1430,6 +1412,34 @@ mod tests {
         let text = daemon.join().expect("daemon thread").unwrap();
         assert!(text.contains("serving dorado-migration"), "{text}");
         assert!(text.contains("daemon stopped"), "{text}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn explain_out_names_the_report_not_the_artifact_dir() {
+        let dir = temp_dir("explain-out");
+        let report = dir.join("report.md");
+        let e = run_cli(&[
+            "explain",
+            "--scale",
+            "tiny",
+            "--out",
+            report.to_str().unwrap(),
+        ])
+        .unwrap_err();
+        assert!(e.0.contains("from lahd-artifacts:"), "{}", e.0);
+        assert!(!e.0.contains("report.md"), "{}", e.0);
+    }
+
+    #[test]
+    fn evaluate_reports_the_cause_of_a_corrupt_artifact() {
+        let dir = temp_dir("corrupt-fsm");
+        let out_flag = dir.to_str().unwrap();
+        run_cli(&["pipeline", "--scale", "tiny", "--out", out_flag]).unwrap();
+        fs::write(dir.join("fsm.txt"), "garbage").unwrap();
+        let e = run_cli(&["evaluate", "--scale", "tiny", "--artifacts", out_flag]).unwrap_err();
+        assert!(e.0.contains("fsm.txt is corrupt"), "{}", e.0);
+        assert!(e.0.contains(out_flag), "{}", e.0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -118,14 +118,6 @@ pub fn save_artifacts(artifacts: &PipelineArtifacts, dir: &Path) -> std::io::Res
     Ok(())
 }
 
-/// Loads artifacts saved by [`save_artifacts`]. Returns `None` when the
-/// directory is missing, incomplete, corrupt, or shaped for a different
-/// configuration. Convenience wrapper over [`load_artifacts_checked`] for
-/// callers that only branch on presence.
-pub fn load_artifacts(cfg: &PipelineConfig, dir: &Path) -> Option<PipelineArtifacts> {
-    load_artifacts_checked(cfg, dir).ok()
-}
-
 /// Loads artifacts saved by [`save_artifacts`], validating every file and
 /// reporting exactly what is wrong on failure. Never panics on malformed
 /// input: a truncated, bit-flipped or foreign file surfaces as a typed
@@ -383,7 +375,7 @@ mod tests {
         let artifacts = Pipeline::new(cfg.clone()).run();
         let dir = temp_dir("roundtrip");
         save_artifacts(&artifacts, &dir).unwrap();
-        let loaded = load_artifacts(&cfg, &dir).expect("loads");
+        let loaded = load_artifacts_checked(&cfg, &dir).expect("loads");
         assert_eq!(loaded.fsm.num_states(), artifacts.fsm.num_states());
         assert_eq!(loaded.raw_states, artifacts.raw_states);
         assert_eq!(loaded.convergence.len(), artifacts.convergence.len());
@@ -402,7 +394,6 @@ mod tests {
     #[test]
     fn missing_directory_loads_none() {
         let cfg = PipelineConfig::tiny();
-        assert!(load_artifacts(&cfg, Path::new("/nonexistent/lahd")).is_none());
         let err = expect_err(load_artifacts_checked(&cfg, Path::new("/nonexistent/lahd")));
         assert!(matches!(err, ArtifactError::Io { .. }), "{err}");
         assert!(err.to_string().contains("agent.params"), "{err}");
@@ -447,7 +438,6 @@ mod tests {
         let dir = temp_dir("corrupt");
         save_artifacts(&artifacts, &dir).unwrap();
         fs::write(dir.join("fsm.txt"), "garbage").unwrap();
-        assert!(load_artifacts(&cfg, &dir).is_none());
         let err = expect_err(load_artifacts_checked(&cfg, &dir));
         assert!(
             matches!(

@@ -19,53 +19,29 @@ use crate::scenario::{run_rollout, RolloutOutcome, Scenario, ScenarioId};
 /// observation vector comes straight from the scenario rollout, so one
 /// implementation serves every scenario.
 ///
-/// Two backings exist: [`GruVecPolicy::new`] runs the historical unpacked
-/// inference path (kept so default evaluation output is byte-stable across
-/// builds), and [`GruVecPolicy::packed`] runs a packed
-/// [`lahd_rl::InferEngine`] in a chosen [`Precision`] — the deployment
-/// decision path, and the policy the quantized-agreement harness compares
-/// across precisions.
+/// Decisions run through a packed [`lahd_rl::InferEngine`] in the chosen
+/// [`Precision`] — the deployment decision path. Under
+/// [`Precision::Exact`] it is bit-identical to the unpacked
+/// [`RecurrentActorCritic::infer`] path; [`Precision::QuantizedFast`] runs
+/// the i8 fast tier under its accuracy contract.
 pub struct GruVecPolicy {
     agent: RecurrentActorCritic,
-    engine: Option<lahd_rl::InferEngine>,
+    engine: lahd_rl::InferEngine,
     scratch: lahd_rl::InferScratch,
     hidden: Matrix,
-    name: String,
 }
 
 impl GruVecPolicy {
-    /// Creates the policy over a trained agent (unpacked inference path).
-    pub fn new(agent: RecurrentActorCritic) -> Self {
-        let hidden = agent.initial_state();
-        Self {
-            agent,
-            engine: None,
-            scratch: lahd_rl::InferScratch::default(),
-            hidden,
-            name: "gru-drl".to_string(),
-        }
-    }
-
-    /// Engine-backed variant: packs the agent's weights once and infers
-    /// through the packed engine in the given precision. With
-    /// [`Precision::Exact`] this is bit-identical to [`GruVecPolicy::new`]
-    /// on the default build; [`Precision::QuantizedFast`] runs the i8 fast
-    /// tier under its accuracy contract.
-    pub fn packed(agent: RecurrentActorCritic, precision: Precision) -> Self {
+    /// Packs the agent's weights once for inference in `precision`.
+    pub fn new(agent: RecurrentActorCritic, precision: Precision) -> Self {
         let engine = lahd_rl::InferEngine::with_precision(&agent, precision);
         let hidden = agent.initial_state();
         Self {
             agent,
-            engine: Some(engine),
+            engine,
             scratch: lahd_rl::InferScratch::default(),
             hidden,
-            name: "gru-drl".to_string(),
         }
-    }
-
-    /// Access to the wrapped agent.
-    pub fn agent(&self) -> &RecurrentActorCritic {
-        &self.agent
     }
 }
 
@@ -75,22 +51,14 @@ impl VecPolicy for GruVecPolicy {
     }
 
     fn act_vec(&mut self, obs: &[f32]) -> usize {
-        match &self.engine {
-            Some(engine) => {
-                engine.infer_into(&self.agent, obs, &self.hidden, &mut self.scratch);
-                std::mem::swap(&mut self.hidden, &mut self.scratch.hidden);
-                lahd_tensor::argmax(self.scratch.logits.row(0))
-            }
-            None => {
-                let step = self.agent.infer(obs, &self.hidden);
-                self.hidden = step.hidden;
-                lahd_tensor::argmax(&step.logits)
-            }
-        }
+        self.engine
+            .infer_into(&self.agent, obs, &self.hidden, &mut self.scratch);
+        std::mem::swap(&mut self.hidden, &mut self.scratch.hidden);
+        lahd_tensor::argmax(self.scratch.logits.row(0))
     }
 
     fn name(&self) -> &str {
-        &self.name
+        "gru-drl"
     }
 }
 
@@ -155,9 +123,7 @@ fn vec_column(
 /// 2. for `dorado-migration` only, the expert [`HandcraftedFsm`] — typed,
 ///    because it must break utilisation ties on the simulator's unrounded
 ///    `f64` values, which the `f32` observation vector loses;
-/// 3. `gru-drl`, the greedy trained agent: the unpacked inference path
-///    under [`Precision::Exact`], the packed engine in any other
-///    `cfg.infer_precision`;
+/// 3. `gru-drl`, the greedy trained agent, in `cfg.infer_precision`;
 /// 4. `extracted-fsm`, the extracted machine.
 pub fn compare_policies(
     cfg: &PipelineConfig,
@@ -181,11 +147,7 @@ pub fn compare_policies(
         let makespans = metrics.iter().map(|m| m.makespan).collect();
         columns.push((expert.name().to_string(), makespans));
     }
-    let mut gru = if cfg.infer_precision == Precision::Exact {
-        GruVecPolicy::new(artifacts.agent.clone())
-    } else {
-        GruVecPolicy::packed(artifacts.agent.clone(), cfg.infer_precision)
-    };
+    let mut gru = GruVecPolicy::new(artifacts.agent.clone(), cfg.infer_precision);
     let mut fsm = artifacts.fsm_executor(cfg.metric, cfg.nn_matching);
     columns.push(vec_column(scenario, &cfg.sim, &mut gru, traces, base_seed));
     columns.push(vec_column(scenario, &cfg.sim, &mut fsm, traces, base_seed));
@@ -313,7 +275,7 @@ mod tests {
     fn gru_policy_is_deterministic_after_reset() {
         let scenario = ScenarioId::DoradoMigration.get();
         let agent = RecurrentActorCritic::new(Observation::DIM, 8, Action::COUNT, 0);
-        let mut p = GruVecPolicy::new(agent);
+        let mut p = GruVecPolicy::new(agent, Precision::Exact);
         let m1 = evaluate_vec_policy(scenario, &cfg(), &mut p, &traces(), 0);
         let m2 = evaluate_vec_policy(scenario, &cfg(), &mut p, &traces(), 0);
         assert_eq!(m1, m2);

@@ -28,6 +28,7 @@ use lahd_guard::{
     BaselineProfile, CounterfactualScore, EpisodeOutcome, GuardConfig, GuardedPolicy,
     IncidentReport, StreamingProfile,
 };
+use lahd_rl::Precision;
 use lahd_sim::{rescale_trace, FaultPlan};
 use lahd_workload::WorkloadTrace;
 
@@ -89,11 +90,11 @@ pub fn build_ladder(
         .expect("every scenario registers at least one baseline");
     vec![
         Box::new(artifacts.fsm_executor(cfg.metric, cfg.nn_matching)),
-        Box::new(GruVecPolicy::packed(
+        Box::new(GruVecPolicy::new(
             artifacts.agent.clone(),
-            lahd_nn::Precision::QuantizedFast,
+            Precision::QuantizedFast,
         )),
-        Box::new(GruVecPolicy::new(artifacts.agent.clone())),
+        Box::new(GruVecPolicy::new(artifacts.agent.clone(), Precision::Exact)),
         last_resort,
     ]
 }

@@ -41,7 +41,7 @@ mod report;
 mod scenario;
 
 pub use args::Args;
-pub use artifacts::{load_artifacts, load_artifacts_checked, save_artifacts, ArtifactError};
+pub use artifacts::{load_artifacts_checked, save_artifacts, ArtifactError};
 pub use env::RewardMode;
 pub use eval::{compare_policies, evaluate_policy, evaluate_vec_policy, Comparison, GruVecPolicy};
 pub use explain::explain_fsm;

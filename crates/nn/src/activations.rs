@@ -87,7 +87,7 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 ///
 /// * [`Precision::Exact`] (the default everywhere) keeps the bit-identity
 ///   contract: f32 packed weights, libm activations — bit-identical to the
-///   unpacked inference path on the default build.
+///   unpacked inference path.
 /// * [`Precision::QuantizedFast`] trades bit-identity for latency: i8
 ///   packed weights with per-panel dequantization scales
 ///   (`lahd_tensor::PackedGemvWeightsI8`) and the vectorized polynomial

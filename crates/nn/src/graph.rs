@@ -910,4 +910,70 @@ mod tests {
         assert!(store.grad(w2).frobenius_norm() > 0.0);
         assert!(!store.has_non_finite());
     }
+
+    /// `reset()` recycles every buffer of the computation before it, and
+    /// none of those stale values may leak into the next one. Over three
+    /// reset cycles — each after a *different* computation on the reused
+    /// tape, and each on parameters an optimiser step has moved — the loss
+    /// and every parameter gradient must be bit-identical to a fresh
+    /// `Graph::new()` running the same computation.
+    #[test]
+    fn reset_tape_is_bit_identical_to_fresh_tapes() {
+        use crate::{GruCell, Linear, Sgd};
+
+        let mut rng = seeded_rng(5);
+        let mut store = ParamStore::new();
+        let gru = GruCell::new(&mut store, "gru", 3, 16, &mut rng);
+        let head = Linear::new(&mut store, "head", 16, 4, &mut rng);
+        // An unrolled GRU episode under an A2C-shaped loss; returns the
+        // loss value and the exported parameter gradients.
+        let episode = |g: &mut Graph, store: &ParamStore, steps: usize, seed: usize| {
+            let mut h = g.constant(gru.initial_state());
+            let mut total = None;
+            for t in 0..steps {
+                let x = Matrix::from_fn(1, 3, |_, j| ((seed * 7 + t * 3 + j) as f32).sin());
+                let x = g.constant(x);
+                h = gru.step(g, store, x, h);
+                let logits = head.forward(g, store, h);
+                let policy = g.cross_entropy_logits(logits, (seed + t) % 4, 0.5);
+                let entropy = g.entropy_from_logits(logits);
+                let entropy = g.scale(entropy, -0.01);
+                let step = g.add(policy, entropy);
+                total = Some(match total {
+                    None => step,
+                    Some(acc) => g.add(acc, step),
+                });
+            }
+            let loss = total.expect("at least one step");
+            let value = g.scalar(loss);
+            g.backward(loss);
+            let mut grads = Vec::new();
+            g.export_param_grads_into(store, &mut grads);
+            (value, grads)
+        };
+
+        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let mut reused = Graph::new();
+        for cycle in 0..3 {
+            episode(&mut reused, &store, 2 + cycle, 100 + cycle);
+            reused.reset();
+            let (loss, grads) = episode(&mut reused, &store, 6, cycle);
+            let (want_loss, want_grads) = episode(&mut Graph::new(), &store, 6, cycle);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "cycle {cycle}: loss");
+            assert_eq!(grads.len(), want_grads.len(), "cycle {cycle}: bound params");
+            for ((id, g), (want_id, want)) in grads.iter().zip(&want_grads) {
+                assert_eq!(id, want_id, "cycle {cycle}: binding order");
+                assert_eq!(
+                    bits(g),
+                    bits(want),
+                    "cycle {cycle}: grad {}",
+                    store.name(*id)
+                );
+            }
+            store.add_grads(&want_grads);
+            Sgd::new(0.05).step(&mut store);
+            store.zero_grads();
+            reused.reset();
+        }
+    }
 }

@@ -24,16 +24,14 @@
 //!
 //! Both wrappers carry a [`Precision`] chosen at pack time:
 //!
-//! * [`Precision::Exact`] (the default): on the default (scalar) build every
-//!   packed path is **bit-identical** to its unpacked counterpart
-//!   ([`Linear::infer_into`], [`GruCell::infer_step_into`]) for every batch
-//!   size — below the blocked cutoff both sides perform the same
-//!   ascending-`k` folds and identical element-wise arithmetic, and at
-//!   [`BLOCK_MIN_ROWS`] rows and above the packed wrappers fall back to the
-//!   unpacked methods outright (batches that large are better served by the
-//!   blocked GEMM than by row-at-a-time GEMV). Under `--features simd` the
-//!   GEMV kernels fuse multiply-add, so results are close but not bit-equal
-//!   — the same contract as the blocked GEMM.
+//! * [`Precision::Exact`] (the default): every packed path is
+//!   **bit-identical** to its unpacked counterpart ([`Linear::infer_into`],
+//!   [`GruCell::infer_step_into`]) for every batch size — below the blocked
+//!   cutoff both sides perform the same ascending-`k` folds and identical
+//!   element-wise arithmetic, and at [`BLOCK_MIN_ROWS`] rows and above the
+//!   packed wrappers fall back to the unpacked methods outright (batches
+//!   that large are better served by the blocked GEMM than by row-at-a-time
+//!   GEMV).
 //! * [`Precision::QuantizedFast`]: weights ride the i8 column panels of
 //!   [`PackedGemvWeightsI8`] (4× less weight streaming, per-panel
 //!   dequantization scales) and the gates use the vectorized polynomial
@@ -133,8 +131,8 @@ impl PackedLinear {
         self.precision
     }
 
-    /// Packed counterpart of [`Linear::infer_into`]; bit-identical on the
-    /// scalar build (see the `packed` module docs).
+    /// Packed counterpart of [`Linear::infer_into`]; bit-identical at
+    /// [`Precision::Exact`] (see the `packed` module docs).
     ///
     /// # Panics
     /// Panics on shape mismatches or if the store's values changed since
@@ -291,8 +289,9 @@ impl PackedGru {
         self.precision
     }
 
-    /// Packed counterpart of [`GruCell::infer_step_into`]; bit-identical on
-    /// the scalar build for every batch size (see the `packed` module docs).
+    /// Packed counterpart of [`GruCell::infer_step_into`]; bit-identical at
+    /// [`Precision::Exact`] for every batch size (see the `packed` module
+    /// docs).
     ///
     /// # Panics
     /// Panics on shape mismatches or if the store's values changed since
@@ -507,10 +506,7 @@ mod tests {
         let x = Matrix::row_vector(&[0.3, -0.8, 0.1, 0.9, -0.2]);
         let want = layer.infer(&store, &x);
         let got = packed.infer(&store, &x);
-        #[cfg(not(feature = "simd"))]
         assert_eq!(got.max_abs_diff(&want), 0.0);
-        #[cfg(feature = "simd")]
-        assert!(got.max_abs_diff(&want) < 1e-5);
     }
 
     #[test]

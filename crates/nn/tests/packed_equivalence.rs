@@ -1,12 +1,10 @@
 //! Numerical pins for the packed inference fast paths.
 //!
-//! `PackedLinear` / `PackedGru` must be pure layout optimisations: on the
-//! default build their outputs are **bit-identical** to the unpacked
-//! `Linear::infer_into` / `GruCell::infer_step_into` for every batch size
-//! (single row, small batches on the GEMV path, and large batches on the
-//! blocked-GEMM fallback), across repacks after parameter updates. Under
-//! `--features simd` the same properties hold with a tolerance (FMA
-//! rounding), matching the GEMM/GEMV contract.
+//! `PackedLinear` / `PackedGru` must be pure layout optimisations: their
+//! outputs are **bit-identical** to the unpacked `Linear::infer_into` /
+//! `GruCell::infer_step_into` for every batch size (single row, small
+//! batches on the GEMV path, and large batches on the blocked-GEMM
+//! fallback), across repacks after parameter updates.
 
 use lahd_nn::{
     GruCell, GruScratch, Linear, PackedGru, PackedGruScratch, PackedLinear, ParamStore, Sgd,
@@ -20,13 +18,9 @@ fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
-/// Bit-exact on the default build, tolerance under `simd`.
 fn assert_matches(label: &str, got: &Matrix, want: &Matrix) {
     let diff = got.max_abs_diff(want);
-    #[cfg(not(feature = "simd"))]
     assert_eq!(diff, 0.0, "{label}: packed path must be bit-identical");
-    #[cfg(feature = "simd")]
-    assert!(diff < 1e-3, "{label}: simd packed path drifted by {diff}");
 }
 
 #[test]

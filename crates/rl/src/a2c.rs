@@ -31,11 +31,6 @@ pub struct A2cConfig {
     pub epsilon: f32,
     /// Whether to normalise advantages per episode.
     pub normalize_advantages: bool,
-    /// Whether to reuse one tape (arena) across updates via
-    /// [`Graph::reset`] instead of building a fresh graph each time. The
-    /// two modes are bit-identical; the flag exists so equivalence tests
-    /// can pin that.
-    pub reuse_graph: bool,
     /// Worker-pool size for batched rollouts and sharded episode replay.
     /// `0` (the default) sizes the pool to `std::thread::available_parallelism`;
     /// `1` runs everything on the caller's thread. The pool never exceeds
@@ -65,7 +60,6 @@ impl Default for A2cConfig {
             grad_clip: 2.0,
             epsilon: 0.1,
             normalize_advantages: true,
-            reuse_graph: true,
             num_workers: 0,
             infer_precision: Precision::Exact,
         }
@@ -165,11 +159,7 @@ fn replay_episode(
     inv_steps: f32,
     config: &A2cConfig,
 ) -> f32 {
-    if config.reuse_graph {
-        graph.reset();
-    } else {
-        *graph = Graph::new();
-    }
+    graph.reset();
     if episode.is_empty() {
         return 0.0;
     }
@@ -451,7 +441,7 @@ impl A2cTrainer {
 
     /// Greedy (argmax, ε = 0) evaluation rollout through the packed
     /// engine; returns the total reward and step count. Bit-identical to
-    /// [`evaluate_greedy`] on the scalar build.
+    /// [`evaluate_greedy`] at [`Precision::Exact`].
     pub fn evaluate(&self, env: &mut dyn Env) -> (f32, usize) {
         greedy_rollout(env, self.agent.initial_state(), |obs, hidden, scratch| {
             self.engine.infer_into(&self.agent, obs, hidden, scratch)

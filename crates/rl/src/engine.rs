@@ -12,13 +12,10 @@
 //!
 //! The engine carries a [`Precision`] chosen at construction:
 //!
-//! * [`Precision::Exact`] (the default): on the default (scalar) build the
-//!   engine is **bit-identical** to the unpacked
-//!   [`RecurrentActorCritic::infer_into`] /
+//! * [`Precision::Exact`] (the default): the engine is **bit-identical** to
+//!   the unpacked [`RecurrentActorCritic::infer_into`] /
 //!   [`RecurrentActorCritic::infer_batch_into`] paths for every batch size
-//!   (`tests/equivalence.rs` pins this across a training run); under
-//!   `--features simd` it uses the AVX2/FMA kernels and is close but not
-//!   bit-equal, like every other simd path in the workspace.
+//!   (`tests/equivalence.rs` pins this across a training run).
 //! * [`Precision::QuantizedFast`]: i8 packed weights (4× less weight
 //!   streaming) and vectorized polynomial activations — the sub-bit-identity
 //!   fast tier for deployment decision paths. Its contract is **measured
@@ -195,10 +192,7 @@ mod tests {
             .max_abs_diff(&unpacked.hidden)
             .max(packed.logits.max_abs_diff(&unpacked.logits))
             .max(packed.values.max_abs_diff(&unpacked.values));
-        #[cfg(not(feature = "simd"))]
-        assert_eq!(diff, 0.0, "scalar packed engine must be bit-identical");
-        #[cfg(feature = "simd")]
-        assert!(diff < 1e-5, "simd packed engine drifted: {diff}");
+        assert_eq!(diff, 0.0, "packed engine must be bit-identical");
     }
 
     /// The quantized tier's in-crate accuracy pin at paper scale: driven by

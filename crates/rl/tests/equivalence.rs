@@ -1,12 +1,11 @@
-//! Equivalence pins for the batched/scratch/reused-tape fast paths.
+//! Equivalence pins for the batched/scratch/sharded/packed fast paths.
 //!
-//! The perf work introduced three new execution paths — batched inference
-//! (`infer_batch`), scratch-based single-step inference (`infer_into`),
-//! and tape reuse across updates (`Graph::reset` via
-//! `A2cConfig::reuse_graph`). Each must be indistinguishable from the
-//! original path: same logits, same values, same hidden states, and for
-//! tape reuse bit-identical losses, gradients and parameters across
-//! consecutive updates.
+//! Batched inference (`infer_batch`), scratch-based single-step inference
+//! (`infer_into`) and the packed `InferEngine` must be indistinguishable
+//! from the original path: same logits, same values, same hidden states.
+//! Sharded training must give bit-identical losses, gradients and
+//! parameters for every worker-pool size. (Tape reuse across updates is
+//! pinned against fresh tapes in lahd-nn's `Graph` tests.)
 
 use lahd_rl::toy::MemoryEnv;
 use lahd_rl::{A2cConfig, A2cTrainer, Env, InferEngine, InferScratch, RecurrentActorCritic};
@@ -167,18 +166,14 @@ fn sharded_train_batch_is_bit_identical_across_pool_sizes() {
     }
 }
 
-/// Packed-vs-unpacked drift check: bit-exact on the default build,
-/// tolerance under `simd` (FMA rounding).
+/// Packed-vs-unpacked check: bit-exact.
 fn assert_step_matches(label: &str, packed: &InferScratch, unpacked: &InferScratch) {
     let diff = packed
         .hidden
         .max_abs_diff(&unpacked.hidden)
         .max(packed.logits.max_abs_diff(&unpacked.logits))
         .max(packed.values.max_abs_diff(&unpacked.values));
-    #[cfg(not(feature = "simd"))]
     assert_eq!(diff, 0.0, "{label}: packed engine must be bit-identical");
-    #[cfg(feature = "simd")]
-    assert!(diff < 1e-2, "{label}: simd packed engine drifted by {diff}");
 }
 
 /// The packed `InferEngine` must be indistinguishable from the unpacked
@@ -229,50 +224,5 @@ fn infer_engine_batch_matches_unpacked_batch() {
         engine.infer_batch_into(&agent, &obs, &hidden, &mut packed);
         agent.infer_batch_into(&obs, &hidden, &mut unpacked);
         assert_step_matches(&format!("batch {batch}"), &packed, &unpacked);
-    }
-}
-
-/// A `Graph::reset`-reused tape must produce bit-identical losses,
-/// gradients and parameters to building a fresh tape per update, across
-/// three consecutive A2C updates (the arena's steady state is reached on
-/// the second).
-#[test]
-fn reused_tape_is_bit_identical_to_fresh_tapes_across_updates() {
-    let config_reuse = A2cConfig {
-        reuse_graph: true,
-        ..A2cConfig::default()
-    };
-    let config_fresh = A2cConfig {
-        reuse_graph: false,
-        ..A2cConfig::default()
-    };
-
-    let mut reuse = A2cTrainer::new(RecurrentActorCritic::new(1, 16, 2, 11), config_reuse, 5);
-    let mut fresh = A2cTrainer::new(RecurrentActorCritic::new(1, 16, 2, 11), config_fresh, 5);
-
-    let mut env_a = MemoryEnv::new(3);
-    let mut env_b = MemoryEnv::new(3);
-
-    for update in 0..3 {
-        let ra = reuse.train_episode(&mut env_a);
-        let rb = fresh.train_episode(&mut env_b);
-        assert_eq!(ra.steps, rb.steps, "update {update}: step counts diverged");
-        assert_eq!(
-            ra.loss.to_bits(),
-            rb.loss.to_bits(),
-            "update {update}: losses diverged ({} vs {})",
-            ra.loss,
-            rb.loss
-        );
-        assert_eq!(
-            ra.grad_norm.to_bits(),
-            rb.grad_norm.to_bits(),
-            "update {update}: grad norms diverged"
-        );
-        assert_stores_identical(
-            &reuse.agent,
-            &fresh.agent,
-            &format!("after update {update}"),
-        );
     }
 }

@@ -12,8 +12,8 @@
 //!   microkernel streams both operands linearly;
 //! - an `MR × NR = 8×8` register-tiled microkernel keeps the 64 output
 //!   accumulators in registers across the whole `KC` depth, turning the
-//!   inner loop into 8 independent 8-wide FMA chains with **zero** loads or
-//!   stores of `C`;
+//!   inner loop into 8 independent 8-wide multiply-add chains with **zero**
+//!   loads or stores of `C`;
 //! - panel buffers live in a reusable [`PackBuffers`] scratch (a
 //!   thread-local instance backs the `Matrix::matmul*` entry points, so the
 //!   steady state allocates nothing).
@@ -26,19 +26,12 @@
 //! For every output element the blocked path adds products in ascending-`k`
 //! order, one `mul`+`add` per product, starting from the existing value of
 //! `C` — exactly the fold the unblocked `A·B` / `Aᵀ·B` kernels and the
-//! naïve [`reference`](mod@reference) kernels perform. The default (scalar) build is
+//! naïve [`reference`](mod@reference) kernels perform. The blocked path is
 //! therefore **bit-identical** to those paths for any tile/panel geometry;
 //! `tests/gemm_equivalence.rs` pins this across odd and rectangular shapes.
 //! The one historical exception is the unblocked `A·Bᵀ` kernel, whose
 //! eight-lane dot-product reduction tree rounds differently; the blocked
 //! `A·Bᵀ` path matches the ascending-`k` reference instead.
-//!
-//! With the `simd` cargo feature the microkernel uses AVX2/FMA intrinsics
-//! when the CPU supports them. Fused multiply-add rounds once instead of
-//! twice, so the `simd` build is *not* bit-equal to the scalar build (it is
-//! slightly more accurate); it is still deterministic for a given binary,
-//! and the scalar fallback (older CPUs, other architectures) remains
-//! bit-equal to the unblocked kernels.
 
 use crate::matrix::Matrix;
 use std::cell::RefCell;
@@ -349,24 +342,12 @@ fn macro_kernel(
     }
 }
 
-/// Microkernel entry: AVX2/FMA when the `simd` feature is on and the CPU
-/// supports it, scalar (autovectorised, mul+add) otherwise.
-#[inline]
-fn kernel_8x8(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::available() {
-        simd::kernel_8x8(kc, a, b, acc);
-        return;
-    }
-    kernel_8x8_scalar(kc, a, b, acc);
-}
-
-/// Scalar 8×8 microkernel: 64 register accumulators, one broadcast-FMA-
-/// shaped statement per (row, lane). The `chunks_exact` pair removes all
+/// The 8×8 microkernel: 64 register accumulators, one broadcast-multiply-add
+/// statement per (row, lane). The `chunks_exact` pair removes all
 /// bounds checks; the compiler keeps `acc` in 8 vector registers and emits
 /// an 8-wide mul+add per row per depth step.
 #[inline]
-fn kernel_8x8_scalar(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn kernel_8x8(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     let a = &a[..kc * MR];
     let b = &b[..kc * NR];
     for (ac, bc) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
@@ -375,66 +356,6 @@ fn kernel_8x8_scalar(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR])
             for (j, c) in acc_row.iter_mut().enumerate() {
                 *c += ar * bc[j];
             }
-        }
-    }
-}
-
-/// Explicit AVX2/FMA microkernel, gated behind the `simd` cargo feature.
-///
-/// The workspace denies `unsafe_code`; this module is the single, audited
-/// exception — `std::arch` intrinsics are unsafe by signature. Safety rests
-/// on two invariants, both checked before the unsafe call: the CPU reports
-/// `avx2`+`fma` at runtime, and the packed panels hold at least `kc` full
-/// strips.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    use super::{MR, NR};
-    use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps,
-    };
-    use std::sync::OnceLock;
-
-    /// Runtime AVX2+FMA detection, cached after the first call.
-    pub(super) fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE
-            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-
-    /// Safe wrapper: validates panel lengths, then dispatches to the
-    /// target-feature kernel.
-    pub(super) fn kernel_8x8(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-        assert!(a.len() >= kc * MR, "packed A panel shorter than kc strips");
-        assert!(b.len() >= kc * NR, "packed B panel shorter than kc strips");
-        debug_assert!(available());
-        // SAFETY: `available()` gates on runtime avx2+fma support, and the
-        // asserts above guarantee every `k`-indexed load below is in
-        // bounds. `acc` rows are 8 floats, matching the 256-bit stores.
-        unsafe { kernel_8x8_fma(kc, a.as_ptr(), b.as_ptr(), acc) }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn kernel_8x8_fma(kc: usize, a: *const f32, b: *const f32, acc: &mut [[f32; NR]; MR]) {
-        let mut c: [__m256; MR] = [
-            _mm256_loadu_ps(acc[0].as_ptr()),
-            _mm256_loadu_ps(acc[1].as_ptr()),
-            _mm256_loadu_ps(acc[2].as_ptr()),
-            _mm256_loadu_ps(acc[3].as_ptr()),
-            _mm256_loadu_ps(acc[4].as_ptr()),
-            _mm256_loadu_ps(acc[5].as_ptr()),
-            _mm256_loadu_ps(acc[6].as_ptr()),
-            _mm256_loadu_ps(acc[7].as_ptr()),
-        ];
-        for k in 0..kc {
-            let bv = _mm256_loadu_ps(b.add(k * NR));
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*a.add(k * MR + r));
-                *cr = _mm256_fmadd_ps(av, bv, *cr);
-            }
-        }
-        for (r, cr) in c.iter().enumerate() {
-            _mm256_storeu_ps(acc[r].as_mut_ptr(), *cr);
         }
     }
 }
@@ -512,7 +433,7 @@ pub mod unblocked {
     }
 
     /// Dot product with eight independent accumulator lanes (breaks the add
-    /// latency chain; the compiler turns the lanes into vector FMAs).
+    /// latency chain; the compiler turns the lanes into vector mul+add).
     #[inline]
     pub(crate) fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -595,14 +516,9 @@ mod tests {
         })
     }
 
-    /// Bit-exact on the scalar build; tolerance under `simd`, where FMA
-    /// legitimately rounds once per product instead of twice.
     fn assert_matches_reference(blocked: &Matrix, reference: &Matrix) {
         let diff = blocked.max_abs_diff(reference);
-        #[cfg(not(feature = "simd"))]
-        assert_eq!(diff, 0.0, "scalar blocked path must be bit-identical");
-        #[cfg(feature = "simd")]
-        assert!(diff < 1e-4, "simd blocked path drifted: {diff}");
+        assert_eq!(diff, 0.0, "blocked path must be bit-identical");
     }
 
     #[test]

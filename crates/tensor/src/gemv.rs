@@ -35,7 +35,7 @@
 //! Each output element is an ascending-`k` fold `y[j] = Σ_k x[k]·W[k,j]`
 //! accumulated from zero with one `mul` + one `add` per product — exactly
 //! the fold `Matrix::matmul_into` performs on these shapes through the
-//! unblocked `A·B` kernel. The default build is therefore **bit-identical**
+//! unblocked `A·B` kernel. The packed GEMV is therefore **bit-identical**
 //! to `mm_into` for every `1×K` product, for any panel decomposition
 //! (`tests/gemv_equivalence.rs` pins this) — *including* its
 //! runtime-detected AVX-512 path, which widens the vectors but keeps the
@@ -43,11 +43,6 @@
 //! dot-product layout was rejected for exactly this reason: fast dot
 //! kernels need lane-split accumulators, which reorder the reduction and
 //! break the bit-identity the train-then-infer equivalence tests rely on.
-//! With the `simd` cargo feature the panel kernel instead uses FMA
-//! (512-bit where available, AVX2 otherwise); as with the blocked GEMM,
-//! FMA rounds once per product instead of twice, so that build is close
-//! but not bit-equal (deterministic for a given binary; the non-x86
-//! fallback stays bit-equal).
 
 use crate::matrix::Matrix;
 
@@ -185,8 +180,8 @@ impl PackedGemvWeights {
 
     /// `y = x · W`, overwriting `y`.
     ///
-    /// Scalar builds are bit-identical to `Matrix::matmul_into` on the same
-    /// operands; see the [module docs](self).
+    /// Bit-identical to `Matrix::matmul_into` on the same operands; see the
+    /// [module docs](self).
     ///
     /// # Panics
     /// Panics unless `x.len() == rows()` and `y.len() == cols()`.
@@ -211,13 +206,7 @@ impl PackedGemvWeights {
                 let pa = &self.data[p.data_off..p.data_off + self.k * 64];
                 let pb = &self.data[q.data_off..q.data_off + self.k * 64];
                 let (ya, yb) = y[p.col..p.col + 128].split_at_mut(64);
-                #[cfg(feature = "simd")]
-                if simd::available() {
-                    wide::panel_pair64::<true>(x, pa, pb, ya, yb);
-                    i += 2;
-                    continue;
-                }
-                wide::panel_pair64::<false>(x, pa, pb, ya, yb);
+                wide::panel_pair64(x, pa, pb, ya, yb);
                 i += 2;
                 continue;
             }
@@ -245,26 +234,17 @@ impl PackedGemvWeights {
     }
 }
 
-/// Panel kernel entry, in order of preference:
-///
-/// 1. `simd` feature + runtime AVX2/FMA: fused multiply-add (one rounding
-///    per product — fast, not bit-equal to the scalar fold);
-/// 2. runtime AVX-512F (any build): 512-bit `mul` + `add` — **the same
-///    two-rounding per-element arithmetic as the scalar fold**, so this
-///    path stays bit-identical to `mm_into`; it is pure vectorisation, the
-///    compiler just will not pick 512-bit lanes on its own;
-/// 3. the scalar loop (which the autovectoriser turns into 256-bit
-///    mul+add).
+/// Panel kernel entry: runtime AVX-512F when the CPU has it — 512-bit
+/// `mul` + `add`, **the same two-rounding per-element arithmetic as the
+/// scalar fold**, so this path stays bit-identical to `mm_into`; it is pure
+/// vectorisation, the compiler just will not pick 512-bit lanes on its own
+/// — and otherwise the scalar loop (which the autovectoriser turns into
+/// 256-bit mul+add).
 #[inline]
 fn panel_kernel<const W: usize>(x: &[f32], panel: &[f32], y: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::available() {
-        simd::panel::<W>(x, panel, y);
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
     if W >= 16 && wide::available() {
-        wide::panel::<W, false>(x, panel, y);
+        wide::panel::<W>(x, panel, y);
         return;
     }
     panel_scalar::<W>(x, panel, y);
@@ -288,22 +268,18 @@ fn panel_scalar<const W: usize>(x: &[f32], panel: &[f32], y: &mut [f32]) {
 
 /// Runtime-detected AVX-512F panel kernels.
 ///
-/// With `FMA = false` (the default build's dispatch) these do not change
-/// the numerical contract: each lane performs the same `mul` followed by
-/// the same `add` (two roundings, ascending `k`) as the scalar fold, so
-/// the results are bit-identical — the intrinsics only widen the vectors
-/// beyond what the autovectoriser is willing to emit (LLVM prefers 256-bit
-/// lanes on current x86 targets), which is why this module is *not* behind
-/// the `simd` feature. `tests/gemv_equivalence.rs` exercises this path
-/// with exact equality on any AVX-512 machine. The `FMA = true`
-/// instantiations fuse the multiply-add and are reachable only from the
-/// `simd` feature's dispatch (one shared kernel body, so a bounds or
-/// stride fix cannot miss one variant).
+/// These do not change the numerical contract: each lane performs the same
+/// `mul` followed by the same `add` (two roundings, ascending `k`) as the
+/// scalar fold, so the results are bit-identical — the intrinsics only
+/// widen the vectors beyond what the autovectoriser is willing to emit
+/// (LLVM prefers 256-bit lanes on current x86 targets).
+/// `tests/gemv_equivalence.rs` exercises this path with exact equality on
+/// any AVX-512 machine.
 ///
-/// Like the GEMM microkernel, this module is an audited exception to the
-/// workspace-wide `unsafe_code` denial: `std::arch` intrinsics are unsafe
-/// by signature, and safety rests on the runtime `avx512f` check plus the
-/// length validation in the safe wrapper.
+/// Like the quantized kernels in [`crate::gemv_i8`], this module is an
+/// audited exception to the workspace-wide `unsafe_code` denial:
+/// `std::arch` intrinsics are unsafe by signature, and safety rests on the
+/// runtime `avx512f` check plus the length validation in the safe wrapper.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod wide {
@@ -321,7 +297,7 @@ mod wide {
 
     /// Safe wrapper: validates lengths, then dispatches to the
     /// lane-monomorphised target-feature kernel.
-    pub(super) fn panel<const W: usize, const FMA: bool>(x: &[f32], panel: &[f32], y: &mut [f32]) {
+    pub(super) fn panel<const W: usize>(x: &[f32], panel: &[f32], y: &mut [f32]) {
         assert!(
             panel.len() >= x.len() * W,
             "packed panel shorter than k rows"
@@ -333,58 +309,27 @@ mod wide {
         // 16-float output store below stays in bounds.
         unsafe {
             match W {
-                64 => panel_512::<4, FMA>(x, panel, y),
-                32 => panel_512::<2, FMA>(x, panel, y),
-                16 => panel_512::<1, FMA>(x, panel, y),
+                64 => panel_512::<4>(x, panel, y),
+                32 => panel_512::<2>(x, panel, y),
+                16 => panel_512::<1>(x, panel, y),
                 _ => unreachable!("unsupported wide panel width {W}"),
             }
-        }
-    }
-
-    /// One accumulate step per lane, monomorphised over the contract:
-    /// `FMA = false` is `mul` then `add` (two roundings — bit-identical to
-    /// the scalar fold), `FMA = true` is a fused multiply-add (one
-    /// rounding; reachable only from the `simd` feature's dispatch). Pure
-    /// register ops, so safe to call from any avx512f context.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn accumulate<const FMA: bool>(
-        acc: std::arch::x86_64::__m512,
-        xb: std::arch::x86_64::__m512,
-        w: std::arch::x86_64::__m512,
-    ) -> std::arch::x86_64::__m512 {
-        if FMA {
-            std::arch::x86_64::_mm512_fmadd_ps(xb, w, acc)
-        } else {
-            _mm512_add_ps(acc, _mm512_mul_ps(xb, w))
         }
     }
 
     /// Fused pass over two adjacent 64-wide panels: one broadcast of
     /// `x[k]` feeds all eight accumulators, halving loop/broadcast
     /// overhead per column.
-    pub(super) fn panel_pair64<const FMA: bool>(
-        x: &[f32],
-        pa: &[f32],
-        pb: &[f32],
-        ya: &mut [f32],
-        yb: &mut [f32],
-    ) {
+    pub(super) fn panel_pair64(x: &[f32], pa: &[f32], pb: &[f32], ya: &mut [f32], yb: &mut [f32]) {
         assert!(pa.len() >= x.len() * 64 && pb.len() >= x.len() * 64);
         assert!(ya.len() == 64 && yb.len() == 64);
         debug_assert!(available());
         // SAFETY: as for `panel`, plus the pair-length asserts above.
-        unsafe { pair_512::<FMA>(x, pa, pb, ya, yb) }
+        unsafe { pair_512(x, pa, pb, ya, yb) }
     }
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn pair_512<const FMA: bool>(
-        x: &[f32],
-        pa: &[f32],
-        pb: &[f32],
-        ya: &mut [f32],
-        yb: &mut [f32],
-    ) {
+    unsafe fn pair_512(x: &[f32], pa: &[f32], pb: &[f32], ya: &mut [f32], yb: &mut [f32]) {
         let a = pa.as_ptr();
         let b = pb.as_ptr();
         let mut acc_a = [_mm512_setzero_ps(); 4];
@@ -394,8 +339,10 @@ mod wide {
             let ra = a.add(kk * 64);
             let rb = b.add(kk * 64);
             for l in 0..4 {
-                acc_a[l] = accumulate::<FMA>(acc_a[l], xb, _mm512_loadu_ps(ra.add(l * 16)));
-                acc_b[l] = accumulate::<FMA>(acc_b[l], xb, _mm512_loadu_ps(rb.add(l * 16)));
+                let wa = _mm512_loadu_ps(ra.add(l * 16));
+                let wb = _mm512_loadu_ps(rb.add(l * 16));
+                acc_a[l] = _mm512_add_ps(acc_a[l], _mm512_mul_ps(xb, wa));
+                acc_b[l] = _mm512_add_ps(acc_b[l], _mm512_mul_ps(xb, wb));
             }
         }
         for l in 0..4 {
@@ -409,88 +356,18 @@ mod wide {
     /// ~4% — the extra load port pressure outweighs what the hardware
     /// streamer misses.)
     #[target_feature(enable = "avx512f")]
-    unsafe fn panel_512<const L: usize, const FMA: bool>(x: &[f32], panel: &[f32], y: &mut [f32]) {
+    unsafe fn panel_512<const L: usize>(x: &[f32], panel: &[f32], y: &mut [f32]) {
         let p = panel.as_ptr();
         let mut acc = [_mm512_setzero_ps(); L];
         for (kk, &xv) in x.iter().enumerate() {
             let xb = _mm512_set1_ps(xv);
             let row = p.add(kk * L * 16);
             for (l, a) in acc.iter_mut().enumerate() {
-                *a = accumulate::<FMA>(*a, xb, _mm512_loadu_ps(row.add(l * 16)));
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(xb, _mm512_loadu_ps(row.add(l * 16))));
             }
         }
         for (l, a) in acc.iter().enumerate() {
             _mm512_storeu_ps(y.as_mut_ptr().add(l * 16), *a);
-        }
-    }
-}
-
-/// Explicit AVX2/FMA panel kernels, gated behind the `simd` cargo feature.
-///
-/// The workspace denies `unsafe_code`; like the GEMM microkernel this
-/// module is an audited exception — `std::arch` intrinsics are unsafe by
-/// signature. Safety rests on runtime `avx2`+`fma` detection plus the
-/// length checks in the safe wrapper.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    use std::arch::x86_64::{
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-    };
-    use std::sync::OnceLock;
-
-    /// Runtime AVX2+FMA detection, cached after the first call.
-    pub(super) fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE
-            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-
-    /// Safe wrapper: validates lengths, then dispatches to the
-    /// lane-monomorphised target-feature kernel — 512-bit FMA (via the
-    /// shared [`super::wide`] kernels with `FMA = true`) where the CPU has
-    /// AVX-512F, 256-bit FMA otherwise.
-    pub(super) fn panel<const W: usize>(x: &[f32], panel: &[f32], y: &mut [f32]) {
-        debug_assert!(available());
-        if W >= 16 && super::wide::available() {
-            super::wide::panel::<W, true>(x, panel, y);
-            return;
-        }
-        assert!(
-            panel.len() >= x.len() * W,
-            "packed panel shorter than k rows"
-        );
-        assert_eq!(y.len(), W, "panel output width mismatch");
-        // SAFETY: `available()` gates on runtime avx2+fma support; the
-        // asserts above guarantee every `k`-indexed panel load and every
-        // 8-float output store below stays in bounds.
-        unsafe {
-            match W {
-                64 => panel_fma::<8>(x, panel, y),
-                32 => panel_fma::<4>(x, panel, y),
-                16 => panel_fma::<2>(x, panel, y),
-                8 => panel_fma::<1>(x, panel, y),
-                _ => unreachable!("unsupported panel width {W}"),
-            }
-        }
-    }
-
-    /// `L` 256-bit accumulators (8·L panel columns) held in registers
-    /// across the whole `k` loop: broadcast `x[k]`, one FMA per lane, one
-    /// store per lane at the end.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn panel_fma<const L: usize>(x: &[f32], panel: &[f32], y: &mut [f32]) {
-        let p = panel.as_ptr();
-        let mut acc = [_mm256_setzero_ps(); L];
-        for (kk, &xv) in x.iter().enumerate() {
-            let xb = _mm256_set1_ps(xv);
-            let row = p.add(kk * L * 8);
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_fmadd_ps(xb, _mm256_loadu_ps(row.add(l * 8)), *a);
-            }
-        }
-        for (l, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(y.as_mut_ptr().add(l * 8), *a);
         }
     }
 }
@@ -536,13 +413,7 @@ mod tests {
             .zip(want.row(0))
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
-        #[cfg(not(feature = "simd"))]
-        assert_eq!(
-            diff, 0.0,
-            "scalar packed gemv must be bit-identical to mm_into"
-        );
-        #[cfg(feature = "simd")]
-        assert!(diff < 1e-4, "simd packed gemv drifted: {diff}");
+        assert_eq!(diff, 0.0, "packed gemv must be bit-identical to mm_into");
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //!
 //! Because no bit-identity contract constrains this tier, the explicit
 //! widen-multiply kernels (AVX-512 where the CPU has it, AVX2/FMA
-//! otherwise) are **runtime-dispatched on every build** — the same policy
-//! as the f32 layout's runtime AVX-512 module, and the difference between
+//! otherwise) are **runtime-dispatched** — the same policy as the f32
+//! layout's runtime AVX-512 module, and the difference between
 //! a ~1.1 µs and a ~0.6 µs kernel at the `128×128` decision shape (the
 //! autovectoriser interleaves the widening converts poorly). The scalar
 //! widen loop remains the portable fallback and the kernels' reference
@@ -296,10 +296,10 @@ fn panel_scalar_i8<const W: usize>(x: &[f32], panel: &[i8], scale: f32, y: &mut 
 }
 
 /// Explicit widen-multiply panel kernels: 512-bit where the CPU has
-/// AVX-512F, 256-bit AVX2/FMA otherwise, runtime-detected on every build
-/// (the quantized tier has no bit-identity contract, so — unlike the f32
-/// FMA kernels — nothing forces these behind the `simd` feature; the f32
-/// `wide` module sets the precedent for default-build runtime dispatch).
+/// AVX-512F, 256-bit AVX2/FMA otherwise, runtime-detected (the quantized
+/// tier has no bit-identity contract, so its kernels may fuse the
+/// multiply-add; the f32 `wide` module sets the precedent for runtime
+/// dispatch).
 ///
 /// The workspace denies `unsafe_code`; like the f32 GEMV kernels this
 /// module is an audited exception — `std::arch` intrinsics are unsafe by

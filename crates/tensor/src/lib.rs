@@ -9,13 +9,11 @@
 //! Small vector-matrix shapes run branch-free, eight-wide-unrolled loops
 //! written for the autovectoriser; above a size cutoff every orientation
 //! routes through the packed, cache-blocked, register-tiled GEMM in
-//! [`gemm`] (with an optional AVX2/FMA microkernel behind the `simd` cargo
-//! feature). Repeated `1×K` inference products should pack their weights
+//! [`gemm`]. Repeated `1×K` inference products should pack their weights
 //! once into [`gemv::PackedGemvWeights`], whose column-panel kernels keep
-//! the accumulators in registers for the whole reduction (scalar path
-//! bit-identical to `matmul_into`; AVX2/FMA behind the same `simd`
-//! feature). Every orientation has an `_into`/`_acc` variant writing into
-//! caller-owned scratch, and `transpose` walks 32×32 cache blocks. For
+//! the accumulators in registers for the whole reduction (bit-identical to
+//! `matmul_into`). Every orientation has an `_into`/`_acc` variant writing
+//! into caller-owned scratch, and `transpose` walks 32×32 cache blocks. For
 //! decision paths that can trade bit-identity for latency,
 //! [`gemv_i8::PackedGemvWeightsI8`] packs the same column panels as
 //! quantized `i8` with per-panel dequantization scales (4× less weight

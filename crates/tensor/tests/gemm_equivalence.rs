@@ -1,16 +1,13 @@
 //! Numerical pins for the packed/blocked GEMM.
 //!
-//! The blocked path must be a pure layout optimisation: on the default
-//! (scalar) build it is **bit-identical** to the ascending-`k` reference
-//! fold for every orientation and every shape — including odd, rectangular,
-//! and non-multiple-of-tile dimensions — and therefore also bit-identical
-//! to the unblocked `A·B` / `Aᵀ·B` kernels, which perform the same fold.
+//! The blocked path must be a pure layout optimisation: it is
+//! **bit-identical** to the ascending-`k` reference fold for every
+//! orientation and every shape — including odd, rectangular, and
+//! non-multiple-of-tile dimensions — and therefore also bit-identical to
+//! the unblocked `A·B` / `Aᵀ·B` kernels, which perform the same fold.
 //! (The unblocked `A·Bᵀ` kernel uses an eight-lane dot-product reduction
 //! tree, so it is pinned against the reference with a tolerance instead;
 //! see the `gemm` module docs.)
-//!
-//! Under `--features simd` the microkernel fuses multiply-add, which rounds
-//! once instead of twice; the same properties then hold with a tolerance.
 
 use lahd_tensor::gemm::{self, PackBuffers};
 use lahd_tensor::Matrix;
@@ -23,16 +20,9 @@ fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
-/// Bit-exact on the scalar build, tolerance under `simd` (FMA rounding).
 fn assert_matches(label: &str, got: &Matrix, want: &Matrix) {
     let diff = got.max_abs_diff(want);
-    #[cfg(not(feature = "simd"))]
-    assert_eq!(
-        diff, 0.0,
-        "{label}: scalar blocked path must be bit-identical"
-    );
-    #[cfg(feature = "simd")]
-    assert!(diff < 1e-3, "{label}: simd path drifted by {diff}");
+    assert_eq!(diff, 0.0, "{label}: blocked path must be bit-identical");
 }
 
 /// Runs all three orientations through blocked / unblocked / reference on

@@ -1,11 +1,9 @@
 //! Numerical pins for the packed GEMV inference kernels.
 //!
-//! The packed layout must be a pure layout optimisation: on the default
-//! build — including its runtime AVX-512 mul+add path — `gemv_into` is
-//! **bit-identical** to `Matrix::matmul_into` on `1×K · K×N` for every
-//! shape, aligned or odd, and for any concatenation of sources. Under
-//! `--features simd` the kernels fuse multiply-add and the same properties
-//! hold with a tolerance (matching the blocked-GEMM contract).
+//! The packed layout must be a pure layout optimisation: `gemv_into` —
+//! including its runtime AVX-512 mul+add path — is **bit-identical** to
+//! `Matrix::matmul_into` on `1×K · K×N` for every shape, aligned or odd,
+//! and for any concatenation of sources.
 
 use lahd_tensor::{Matrix, PackedGemvWeights};
 use proptest::prelude::*;
@@ -17,7 +15,6 @@ fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
-/// Bit-exact on the default build, tolerance under `simd` (FMA rounding).
 fn assert_matches(label: &str, got: &[f32], want: &[f32]) {
     assert_eq!(got.len(), want.len(), "{label}: length mismatch");
     let diff = got
@@ -25,13 +22,10 @@ fn assert_matches(label: &str, got: &[f32], want: &[f32]) {
         .zip(want)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
-    #[cfg(not(feature = "simd"))]
     assert_eq!(
         diff, 0.0,
         "{label}: packed gemv must be bit-identical to mm_into"
     );
-    #[cfg(feature = "simd")]
-    assert!(diff < 1e-3, "{label}: simd packed gemv drifted by {diff}");
 }
 
 fn check_shape(k: usize, n: usize, seed: u64) {
@@ -76,7 +70,7 @@ fn panel_width_edge_shapes_match() {
 }
 
 /// Packing `[A | B | C]` side by side must equal packing each matrix alone
-/// — bit-for-bit on every build, since concatenated sources keep their own
+/// — bit-for-bit, since concatenated sources keep their own
 /// panels and therefore their exact per-column arithmetic.
 #[test]
 fn concat_pack_matches_individual_packs() {

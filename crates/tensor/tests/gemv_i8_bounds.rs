@@ -71,7 +71,7 @@ fn panel_width_edge_shapes_respect_bound() {
 }
 
 /// Packing `[A | B | C]` side by side must equal packing each matrix alone
-/// — bit-for-bit on every build, since concatenated sources keep their own
+/// — bit-for-bit, since concatenated sources keep their own
 /// panels (and scales) and therefore their exact per-column arithmetic.
 #[test]
 fn concat_pack_matches_individual_packs() {

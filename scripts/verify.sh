@@ -1,36 +1,26 @@
 #!/usr/bin/env bash
-# Tier-1 verification, the feature-gated builds, and a coarse perf gate.
+# Tier-1 verification, end-to-end smoke gates, and a coarse perf gate.
 #
 # 1. `cargo build --release && cargo test -q` — the ROADMAP's tier-1 gate,
 #    covering every default workspace member — then
 #    `cargo check --workspace --all-targets`, so the figure/ablation
-#    harnesses and micro benches, which tier-1 never builds, still compile,
-#    then
+#    harnesses and micro benches, which tier-1 never builds, still compile
+#    (with `unexpected_cfgs` denied workspace-wide, a stale feature cfg
+#    fails here), then
 #    `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib`, so
-#    rustdoc link warnings fail verification.
-# 2. `cargo build --release --features simd` — the FMA GEMM microkernel and
-#    GEMV panel kernels; building it here keeps the feature gate from
-#    rotting.
-# 3. `cargo test -q -p lahd-tensor -p lahd-nn -p lahd-rl --features simd` —
-#    the GEMM/GEMV equivalence suites plus the packed-GRU/InferEngine
-#    equivalence tests under the FMA kernels (tolerance-based where FMA
-#    rounding legitimately differs; see crates/tensor/src/gemm.rs and
-#    crates/tensor/src/gemv.rs).
-# 4. Quantized-tier accuracy suites under simd: the i8 GEMV error-bound
-#    proptests, the activation-approximation budgets, and the per-scenario
-#    rollout action-agreement pins (≥99.5% vs the exact engine) — the
-#    default build already runs them in step 2 via `cargo test -q`.
-# 5. Scenario smoke matrix: one tiny-budget pipeline + evaluate +
+#    rustdoc link warnings fail verification, then a check of the
+#    perfbench/ benchmark package against the workspace crates.
+# 2. Scenario smoke matrix: one tiny-budget pipeline + evaluate +
 #    clean guard-eval run per registered scenario through the CLI (plus one
 #    quantized-precision evaluate), so a scenario that rots (or a registry
 #    entry that stops wiring up end-to-end) fails verification. The
-#    lahd-guard crate itself is a default workspace member, so steps 1–2
-#    cover its unit/property/behaviour suites.
-# 6. Guardrail gate: guard-eval under an injected observation-drift fault
+#    lahd-guard crate itself is a default workspace member, so step 1
+#    covers its unit/property/behaviour suites.
+# 3. Guardrail gate: guard-eval under an injected observation-drift fault
 #    must report a fallback transition ("fallen-back" in the transition
 #    log) — the drift detector or the fallback state machine rotting fails
 #    verification, not just a unit suite.
-# 7. Serving gate: a self-hosted `lahd serve-bench --chaos` run over tiny
+# 4. Serving gate: a self-hosted `lahd serve-bench --chaos` run over tiny
 #    seed-22 artifacts (shard kill + burst + corrupt hot reload must all be
 #    survived with the old generation still serving) whose per-tier
 #    decision counts must show the compiled FSM tier serving and whose
@@ -42,14 +32,14 @@
 #    coarse RSS ceiling (LAHD_SWEEP_RSS_MB); then an external
 #    `lahd serve` process driven over its Unix socket and shut down via
 #    a protocol request — the daemon must exit 0.
-# 8. Durability gates, on the same seed-22 artifacts: a clean
+# 5. Durability gates, on the same seed-22 artifacts: a clean
 #    `lahd serve-drill` (SIGKILL a durable daemon after a quiescent
 #    checkpoint, restart with --recover, compare action checksums against
 #    an uninterrupted reference — ≥99% of streams must resume
 #    bit-identically over a window of at least two distinct actions) and a
 #    `--corrupt` drill (seeded torn tail + bit flip + duplicated journal
 #    record must be quarantined with a clean exit, never a panic).
-# 9. Quick-mode bench snapshot compared against the latest committed
+# 6. Quick-mode bench snapshot compared against the latest committed
 #    BENCH_<n>.json with a loose 50% threshold, so a hot-path regression
 #    fails verification instead of only surfacing in the next snapshot.
 #    Since BENCH_4.json the gate also covers the quantized rows
@@ -87,15 +77,6 @@ echo "== benchmark build: cargo check perfbench against the workspace crates"
 # perfbench/ is its own package built against lahd-serve's public API, so
 # an API change that breaks the benchmark fails here, not in a later run.
 CARGO_TARGET_DIR=target cargo check --manifest-path perfbench/Cargo.toml
-
-echo "== feature gate: cargo build --release --features simd"
-cargo build --release --features simd
-
-echo "== feature gate: cargo test -q -p lahd-tensor -p lahd-nn -p lahd-rl --features simd"
-cargo test -q -p lahd-tensor -p lahd-nn -p lahd-rl --features simd
-
-echo "== quantized tier (simd): kernel bounds + rollout agreement pins"
-cargo test -q --features simd --test quantized_agreement
 
 echo "== scenario smoke matrix: tiny end-to-end per registered scenario"
 lahd_bin="target/release/lahd"

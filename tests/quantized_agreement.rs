@@ -1,20 +1,26 @@
-//! End-to-end accuracy contract of the quantized fast-inference tier
-//! (`Precision::QuantizedFast`: i8 packed GEMV weights + vectorized
-//! polynomial activations).
+//! End-to-end contracts of the packed `gru-drl` decision path, for **every
+//! registered scenario**.
 //!
-//! The quantized engine deliberately leaves the bit-identity contract the
-//! rest of the packed inference stack holds; what it promises instead is
-//! *behavioural* fidelity, and this suite is that promise: for **every
-//! registered scenario**, a pipeline-trained agent deployed through the
-//! quantized engine must pick the same action as the exact f32 engine on
-//! ≥ 99.5% of full-rollout decisions — with both engines facing the
-//! identical trajectory and each carrying its own recurrent state, so
-//! quantization drift accumulates exactly as it would in deployment.
+//! At `Precision::Exact` the packed engine is bit-identical to the unpacked
+//! `RecurrentActorCritic::infer` path, so a pipeline-trained agent picks
+//! exactly the same action at every rollout step through either.
+//!
+//! The quantized fast tier (`Precision::QuantizedFast`: i8 packed GEMV
+//! weights + vectorized polynomial activations) deliberately leaves that
+//! bit-identity contract; what it promises instead is *behavioural*
+//! fidelity: the quantized engine must pick the same action as the exact
+//! f32 engine on ≥ 99.5% of full-rollout decisions — with both engines
+//! facing the identical trajectory and each carrying its own recurrent
+//! state, so quantization drift accumulates exactly as it would in
+//! deployment.
 
 mod common;
 
 use common::rollout_agreement_traces;
 use lahd::core::{GruVecPolicy, Pipeline, PipelineConfig, Precision, ScenarioId};
+use lahd::fsm::VecPolicy;
+use lahd::rl::RecurrentActorCritic;
+use lahd::tensor::{argmax, Matrix};
 
 fn agreement_for(scenario: ScenarioId) -> f64 {
     let mut config = PipelineConfig::tiny();
@@ -30,8 +36,8 @@ fn agreement_for(scenario: ScenarioId) -> f64 {
     let (std_traces, real_traces) = pipeline.make_traces();
     let (agent, _) = pipeline.train_with_curriculum(&std_traces, &real_traces);
 
-    let mut exact = GruVecPolicy::packed(agent.clone(), Precision::Exact);
-    let mut quant = GruVecPolicy::packed(agent, Precision::QuantizedFast);
+    let mut exact = GruVecPolicy::new(agent.clone(), Precision::Exact);
+    let mut quant = GruVecPolicy::new(agent, Precision::QuantizedFast);
     let agreement = rollout_agreement_traces(
         pipeline.scenario(),
         &config.sim,
@@ -72,35 +78,61 @@ fn quantized_engine_agrees_on_readahead_rollouts() {
     );
 }
 
-/// The exact-precision packed policy must be bit-identical to the unpacked
-/// historical path on the default build (close under `--features simd`) —
-/// the sanity anchor that makes the quantized comparison above meaningful.
+/// Greedy decisions through the unpacked `RecurrentActorCritic::infer`
+/// path: the reference the packed exact engine is pinned against.
+struct UnpackedPolicy {
+    agent: RecurrentActorCritic,
+    hidden: Matrix,
+}
+
+impl VecPolicy for UnpackedPolicy {
+    fn reset(&mut self) {
+        self.hidden = self.agent.initial_state();
+    }
+
+    fn act_vec(&mut self, obs: &[f32]) -> usize {
+        let step = self.agent.infer(obs, &self.hidden);
+        self.hidden = step.hidden;
+        argmax(&step.logits)
+    }
+
+    fn name(&self) -> &str {
+        "gru-drl-unpacked"
+    }
+}
+
+/// The exact-precision packed policy — every scenario's `gru-drl` column —
+/// must be bit-identical to the unpacked path: the sanity anchor that
+/// makes the quantized comparison above meaningful.
 #[test]
 fn exact_packed_policy_matches_unpacked_policy() {
-    let config = PipelineConfig::tiny();
-    let pipeline = Pipeline::new(config.clone());
-    let (std_traces, real_traces) = pipeline.make_traces();
-    let (agent, _) = pipeline.train_with_curriculum(&std_traces, &real_traces);
+    for scenario in ScenarioId::ALL {
+        let mut config = PipelineConfig::tiny();
+        config.scenario = scenario;
+        let pipeline = Pipeline::new(config.clone());
+        let (std_traces, real_traces) = pipeline.make_traces();
+        let (agent, _) = pipeline.train_with_curriculum(&std_traces, &real_traces);
 
-    let mut unpacked = GruVecPolicy::new(agent.clone());
-    let mut packed = GruVecPolicy::packed(agent, Precision::Exact);
-    let agreement = rollout_agreement_traces(
-        pipeline.scenario(),
-        &config.sim,
-        &real_traces,
-        config.seed,
-        &mut unpacked,
-        &mut packed,
-    );
-    #[cfg(not(feature = "simd"))]
-    assert_eq!(
-        agreement.matches, agreement.total,
-        "exact packed engine diverged from the unpacked path"
-    );
-    #[cfg(feature = "simd")]
-    assert!(
-        agreement.ratio() >= 0.995,
-        "simd exact engine agreement {:.4}",
-        agreement.ratio()
-    );
+        let mut unpacked = UnpackedPolicy {
+            hidden: agent.initial_state(),
+            agent: agent.clone(),
+        };
+        let mut packed = GruVecPolicy::new(agent, Precision::Exact);
+        let agreement = rollout_agreement_traces(
+            pipeline.scenario(),
+            &config.sim,
+            &real_traces,
+            config.seed,
+            &mut unpacked,
+            &mut packed,
+        );
+        eprintln!(
+            "{scenario}: {}/{} exact decisions agree",
+            agreement.matches, agreement.total
+        );
+        assert_eq!(
+            agreement.matches, agreement.total,
+            "{scenario}: exact packed engine diverged from the unpacked path"
+        );
+    }
 }
