@@ -92,7 +92,7 @@ fn usage() -> String {
      \x20            --artifacts DIR [--socket FILE] [--shards N]\n\
      \x20            [--queue-capacity N] [--max-streams N]\n\
      \x20            [--audit-every N] [--hibernate-after N]\n\
-     \x20            [--sweep-every N] [--max-hibernated N]\n\
+     \x20            [--sweep-every N]\n\
      \x20            [--state-dir DIR (durable checkpoints + journal)]\n\
      \x20            [--checkpoint-every N (ticks; 0 = drain-only)] [--recover]\n\
      \x20            [--allow-chaos] [--scale …] [--scenario …]\n\
@@ -400,7 +400,6 @@ fn serve_config(args: &Args) -> ServeConfig {
         audit_every: args.get_u64("audit-every", d.audit_every),
         hibernate_after: args.get_u64("hibernate-after", d.hibernate_after),
         sweep_every: args.get_u64("sweep-every", d.sweep_every),
-        max_hibernated: args.get_usize("max-hibernated", d.max_hibernated),
         state_dir: args.get("state-dir").map(PathBuf::from),
         checkpoint_every: args.get_u64("checkpoint-every", d.checkpoint_every),
         recover: args.has_flag("recover"),

@@ -300,11 +300,6 @@ impl GuardedPolicy {
         self.active
     }
 
-    /// Name of the currently serving tier.
-    pub fn active_tier_name(&self) -> &str {
-        &self.tier_names[self.active]
-    }
-
     /// Decisions served so far.
     pub fn steps(&self) -> u64 {
         self.step

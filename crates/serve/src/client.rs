@@ -5,7 +5,9 @@
 //! multiple decisions in flight must correlate by `req_id`; [`ServeClient::call`]
 //! (send one, wait one) is only safe when no decisions are outstanding —
 //! the pattern every control message (stats, reload, shutdown, chaos)
-//! follows.
+//! follows. Callers must also keep reading: the daemon writes replies
+//! synchronously and disconnects a client whose socket stays full for its
+//! one-second write timeout.
 
 use std::io::BufReader;
 use std::os::unix::net::UnixStream;

@@ -1,10 +1,12 @@
 //! The serving daemon: Unix-socket listener, connection routing, admission
 //! control, and crash-safe hot reload.
 //!
-//! Topology: one acceptor thread, one reader + one writer thread per
-//! connection, and `shards` worker threads (see [`crate::shard`]) behind
-//! bounded queues. Streams are hashed to shards ([`shard_of`]), so one
-//! stream's requests are always ordered through one worker.
+//! Topology: one acceptor thread, one thread per connection, and `shards`
+//! worker threads (see [`crate::shard`]) behind bounded queues. Streams are
+//! hashed to shards ([`shard_of`]), so one stream's requests are always
+//! ordered through one worker. Whoever answers a request, its connection
+//! thread or a shard, writes the reply straight into the connection's
+//! socket through the connection's one [`ReplySink`].
 //!
 //! Admission control: enqueue uses `try_send` against the bounded shard
 //! queue, retrying [`ADMISSION_RETRIES`] times with a short backoff on
@@ -21,7 +23,8 @@
 //! swapped. (There is no portable signal handling in std, so reload is
 //! command-triggered over the socket rather than via SIGHUP.)
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,7 +38,7 @@ use lahd_fsm::VecPolicy;
 
 use crate::bundle::ServeBundle;
 use crate::metrics::{MetricsSnapshot, ServeMetrics, ShardStats};
-use crate::protocol::{read_frame, write_frame, Request, Response, Source};
+use crate::protocol::{push_frame, read_frame, Request, Response, Source};
 use crate::shard::{run_shard, ShardMsg, TIER_BASELINE};
 
 /// `try_send` retries before a request is shed.
@@ -43,6 +46,10 @@ const ADMISSION_RETRIES: u32 = 2;
 
 /// Sleep between admission retries.
 const ADMISSION_BACKOFF: Duration = Duration::from_micros(100);
+
+/// The longest one write to a client may block. A client that stops
+/// reading is disconnected once its socket buffer is full for this long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
@@ -64,9 +71,6 @@ pub struct ServeConfig {
     pub hibernate_after: u64,
     /// Shard ticks between clock-sweep invocations.
     pub sweep_every: u64,
-    /// Hibernation-arena capacity per shard; clock/second-chance eviction
-    /// beyond (an evicted stream re-admits fresh).
-    pub max_hibernated: usize,
     /// Directory for durable per-shard state (checkpoints + journals);
     /// `None` disables persistence entirely.
     pub state_dir: Option<PathBuf>,
@@ -88,7 +92,6 @@ impl Default for ServeConfig {
             audit_every: 4096,
             hibernate_after: 512,
             sweep_every: 32,
-            max_hibernated: 1 << 20,
             state_dir: None,
             checkpoint_every: 0,
             recover: false,
@@ -104,7 +107,6 @@ impl ServeConfig {
         self.queue_capacity = self.queue_capacity.max(1);
         self.max_streams = self.max_streams.max(1);
         self.sweep_every = self.sweep_every.max(1);
-        self.max_hibernated = self.max_hibernated.max(1);
         self
     }
 }
@@ -300,37 +302,52 @@ fn accept_loop(
     }
 }
 
+/// A connection's write half, shared by its connection thread and by every
+/// request of it that a shard holds. Each write carries whole frames under
+/// the lock, so frames of different writers never interleave. The first
+/// write that fails or outlasts [`WRITE_TIMEOUT`] shuts the connection down,
+/// which also ends its connection thread's read loop, and every later write
+/// is dropped.
+pub(crate) struct ReplySink(Mutex<Option<UnixStream>>);
+
+impl ReplySink {
+    /// Writes `frames`, one or more whole frames, in one `write_all`.
+    pub(crate) fn write(&self, frames: &[u8]) {
+        let mut sink = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(stream) = sink.as_mut() else {
+            return;
+        };
+        if stream.write_all(frames).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+            *sink = None;
+        }
+    }
+
+    /// Writes one response as one frame.
+    fn send(&self, resp: &Response) {
+        let mut frame = Vec::new();
+        push_frame(&mut frame, &resp.encode());
+        self.write(&frame);
+    }
+}
+
 fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSender<ShardMsg>>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx_resp, rx_resp) = mpsc::channel::<Response>();
-    let writer = std::thread::Builder::new()
-        .name("lahd-conn-w".to_string())
-        .spawn(move || {
-            let mut w = write_half;
-            for resp in rx_resp {
-                if write_frame(&mut w, &resp.encode()).is_err() {
-                    break;
-                }
-            }
-        });
-    let Ok(writer) = writer else { return };
-
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
+    let sink = Arc::new(ReplySink(Mutex::new(Some(write_half))));
     let mut reader = BufReader::new(stream);
     // Built lazily from the current bundle; depends only on the scenario,
     // so it survives reloads.
     let mut shed_policy: Option<Box<dyn VecPolicy>> = None;
-    let mut shutdown = false;
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => break,
-        };
+    while let Ok(Some(frame)) = read_frame(&mut reader) {
         let req = match Request::decode(&frame) {
             Ok(req) => req,
             Err(e) => {
-                let _ = tx_resp.send(Response::Err(e.to_string()));
+                sink.send(&Response::Err(e.to_string()));
                 continue;
             }
         };
@@ -343,45 +360,47 @@ fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSe
             } => route_decide(
                 &shared,
                 &senders,
-                &tx_resp,
+                &sink,
                 &mut shed_policy,
                 req_id,
                 stream_id,
                 deadline_us,
                 obs,
             ),
-            Request::Stats => {
-                let _ = tx_resp.send(Response::StatsJson(shared.snapshot().to_json()));
-            }
+            Request::Stats => sink.send(&Response::StatsJson(shared.snapshot().to_json())),
             Request::Reload { dir } => {
                 match ServeBundle::load(&shared.pipeline_cfg, Path::new(&dir)) {
                     Ok(bundle) => {
                         *shared.bundle.lock().unwrap() = Arc::new(bundle);
                         let gen = shared.generation.fetch_add(1, Ordering::AcqRel) + 1;
                         ServeMetrics::bump(&shared.metrics.reloads_ok);
-                        let _ = tx_resp.send(Response::ReloadOk { generation: gen });
+                        sink.send(&Response::ReloadOk { generation: gen });
                     }
                     Err(e) => {
                         ServeMetrics::bump(&shared.metrics.reloads_rejected);
-                        let _ = tx_resp.send(Response::Err(format!("reload rejected: {e}")));
+                        sink.send(&Response::Err(format!("reload rejected: {e}")));
                     }
                 }
             }
             Request::Shutdown => {
-                let _ = tx_resp.send(Response::Ok);
-                shutdown = true;
+                // Every write is synchronous, so the acknowledgement is in
+                // the socket before the flag rises: once the shards drain,
+                // a `lahd serve` process exits. Shards write the replies
+                // still queued before they drain.
+                sink.send(&Response::Ok);
+                shared.shutdown.store(true, Ordering::Release);
                 break;
             }
             Request::Ping => {
                 // Liveness probe: answered inline on the connection thread,
                 // so it works even while every shard queue is saturated.
-                let _ = tx_resp.send(Response::Ok);
+                sink.send(&Response::Ok);
             }
             Request::Crash { shard } => {
-                let _ = tx_resp.send(chaos_send(&shared, &senders, shard, ShardMsg::Crash));
+                sink.send(&chaos_send(&shared, &senders, shard, ShardMsg::Crash));
             }
             Request::Hold { shard, ms } => {
-                let _ = tx_resp.send(chaos_send(
+                sink.send(&chaos_send(
                     &shared,
                     &senders,
                     shard,
@@ -389,14 +408,6 @@ fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSe
                 ));
             }
         }
-    }
-    drop(tx_resp);
-    let _ = writer.join();
-    // Raised only after the writer has flushed this connection's replies,
-    // the acknowledgement included: once the shards drain, a `lahd serve`
-    // process exits, and a reply still queued would be lost with it.
-    if shutdown {
-        shared.shutdown.store(true, Ordering::Release);
     }
 }
 
@@ -422,7 +433,7 @@ fn chaos_send(
 fn route_decide(
     shared: &SharedState,
     senders: &[SyncSender<ShardMsg>],
-    tx_resp: &mpsc::Sender<Response>,
+    sink: &Arc<ReplySink>,
     shed_policy: &mut Option<Box<dyn VecPolicy>>,
     req_id: u64,
     stream_id: u64,
@@ -438,7 +449,7 @@ fn route_decide(
         deadline,
         enqueued,
         obs,
-        reply: tx_resp.clone(),
+        reply: sink.clone(),
     };
     for attempt in 0..=ADMISSION_RETRIES {
         match senders[shard].try_send(msg) {
@@ -472,7 +483,7 @@ fn route_decide(
     });
     let action = policy.act_vec(&obs) as u16;
     ServeMetrics::bump(&shared.metrics.shed);
-    let _ = tx_resp.send(Response::Decision {
+    sink.send(&Response::Decision {
         req_id,
         action,
         tier: TIER_BASELINE as u8,

@@ -75,5 +75,5 @@ pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
 pub use protocol::{
     read_frame, write_frame, ProtoError, Request, Response, Source, MAGIC, MAX_FRAME,
 };
-pub use shard::{ShardMsg, BATCH_MAX, TIER_BASELINE, TIER_EXACT, TIER_FSM, TIER_QUANT};
-pub use stream_table::{StreamRef, StreamSet, StreamTable};
+pub use shard::{BATCH_MAX, TIER_BASELINE, TIER_EXACT, TIER_FSM, TIER_QUANT};
+pub use stream_table::{StreamRef, StreamTable};

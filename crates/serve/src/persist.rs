@@ -244,11 +244,6 @@ impl ShardPersist {
             .extend_from_slice(&encode_wal_record(WAL_EVICT, key));
     }
 
-    /// Whether journal bytes are waiting to be flushed.
-    pub fn wal_dirty(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Appends the buffered journal records to the journal file.
     pub fn flush_wal(&mut self) -> std::io::Result<()> {
         if self.pending.is_empty() {

@@ -154,6 +154,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Appends one frame to `out`, for writers that put several frames in one
+/// write.
+pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    debug_assert!(payload.len() <= MAX_FRAME);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
 /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];

@@ -22,19 +22,25 @@
 //!
 //! Stats stay off the decision path: the shard counts into a plain local
 //! [`ShardStats`] and folds it into its own slot in [`SharedState`] at
-//! batch boundaries, *before* sending the batch's replies, so any response
+//! batch boundaries, *before* writing the batch's replies, so any response
 //! a client observes is already counted when it asks for `Stats` (see
 //! [`crate::metrics`]). Gauges are stamped as absolute levels at every
 //! fold; rare events (recovery, checkpoints, persist errors, panics,
 //! restarts) go straight to the slot.
 //!
+//! Replies go straight into each connection's socket through its shared
+//! [`ReplySink`], one write per run of consecutive replies to one
+//! connection; a client that stops reading holds the shard for at most
+//! the daemon's write timeout.
+//!
 //! Batches are capped *below* the blocked-GEMM row cutoff, where the
 //! packed layers run one GEMV per row (the FSM evaluator chunks its
 //! encode the same way internally) — so an action never depends on which
 //! other streams happened to share its batch, and chaos summaries stay
-//! bit-reproducible. Batch membership is deduplicated through a reusable
-//! [`StreamSet`] (open addressing, O(1) per request) instead of probing a
-//! `Vec` per request.
+//! bit-reproducible. Only a stream's first request in a drain joins a
+//! batched lane; its repeats take the scalar path in arrival order, so each
+//! steps from the state its predecessor left. Membership is a `contains`
+//! over the at most [`BATCH_MAX`] keys seen so far in the drain.
 //!
 //! Robustness: the worker body runs under `catch_unwind`; a panic (a bug,
 //! or an injected [`ShardMsg::Crash`]) is counted, the thread restarts
@@ -53,7 +59,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,11 +75,11 @@ use lahd_tensor::Matrix;
 
 use crate::bundle::ServeBundle;
 use crate::compact::{CompactStream, HibernationArena, REC_BYTES};
-use crate::daemon::SharedState;
+use crate::daemon::{ReplySink, SharedState};
 use crate::metrics::ShardStats;
 use crate::persist::{self, ShardPersist};
-use crate::protocol::{Response, Source};
-use crate::stream_table::{StreamRef, StreamSet, StreamTable};
+use crate::protocol::{push_frame, Response, Source};
+use crate::stream_table::{StreamRef, StreamTable};
 
 /// Maximum requests a shard drains into one batch. Strictly below the
 /// blocked-GEMM row cutoff, so every batch stays on the per-row GEMV path
@@ -102,8 +108,12 @@ const RELEASE_AFTER: u64 = 64;
 /// large tables; the hand wraps, so coverage is eventual and fair).
 const SWEEP_CHUNK: usize = 1024;
 
+/// Hibernation-arena capacity per shard; clock/second-chance eviction
+/// beyond (an evicted stream re-admits fresh).
+const MAX_HIBERNATED: usize = 1 << 20;
+
 /// A message on a shard's queue.
-pub enum ShardMsg {
+pub(crate) enum ShardMsg {
     /// One decision request.
     Decide {
         /// Correlation id echoed back.
@@ -116,8 +126,8 @@ pub enum ShardMsg {
         enqueued: Instant,
         /// The observation.
         obs: Vec<f32>,
-        /// Where to send the [`Response::Decision`].
-        reply: Sender<Response>,
+        /// The connection to write the [`Response::Decision`] to.
+        reply: Arc<ReplySink>,
     },
     /// Chaos: panic the worker (exercises the restart path).
     Crash,
@@ -315,7 +325,7 @@ fn make_resident(
 
 /// A reply staged until the batch's counts are in the shard's stats slot.
 struct Reply {
-    to: Sender<Response>,
+    to: Arc<ReplySink>,
     resp: Response,
     /// `(tier, enqueued)` for served decisions (feeds the latency
     /// histogram); `None` for errors/deadline/shed answers.
@@ -352,8 +362,6 @@ struct ShardState {
     fsm_scalar: Option<CompiledScratch>,
     fsm_states: Vec<u16>,
     fsm_outcomes: Vec<StepOutcome>,
-    /// Per-drain batch-membership set (cleared each batch, O(1) insert).
-    batched: StreamSet,
     micro_cfg: MicroConfig,
     /// Shard-local logical clock: one tick per drained batch or idle
     /// interval. Hibernation idleness is measured in ticks.
@@ -368,7 +376,7 @@ struct ShardState {
     resident_count: u64,
     /// Counts since the last fold into this shard's stats slot.
     stats: ShardStats,
-    /// Replies staged during the batch, sent after the stats fold.
+    /// Replies staged during the batch, written after the stats fold.
     replies: Vec<Reply>,
     /// Durable-state writer (checkpoints + journal); `None` when the
     /// daemon runs without a state directory or its creation failed.
@@ -404,14 +412,13 @@ impl ShardState {
             bundle,
             generation,
             streams: StreamTable::with_capacity(1024),
-            arena: HibernationArena::new(shared.cfg.max_hibernated),
+            arena: HibernationArena::new(MAX_HIBERNATED),
             fallback,
             batch_scratch: InferScratch::default(),
             fsm_scratch,
             fsm_scalar,
             fsm_states: Vec::new(),
             fsm_outcomes: Vec::new(),
-            batched: StreamSet::with_capacity(BATCH_MAX),
             micro_cfg: MicroConfig::default(),
             tick: 0,
             clock_hand: 0,
@@ -717,7 +724,7 @@ impl ShardState {
     /// go through one batched inference call per tier; everything else
     /// (demoted tiers, repeat requests for a stream already in the batch,
     /// expired deadlines) takes the scalar path, in arrival order per
-    /// stream. Replies are staged and sent only after the batch's counts
+    /// stream. Replies are staged and written only after the batch's counts
     /// are folded into the shard's stats slot.
     fn process_batch(&mut self, shared: &SharedState, batch: Vec<DecideReq>) {
         let now = Instant::now();
@@ -757,8 +764,8 @@ impl ShardState {
 
         // Partition by entry kind and active tier; first request per
         // batchable stream goes to that tier's batch, the rest stay
-        // scalar. `batched` dedups in O(1) per request.
-        self.batched.clear();
+        // scalar.
+        let mut batched: Vec<u64> = Vec::with_capacity(BATCH_MAX);
         let fsm_batchable = self.fsm_scratch.is_some();
         let mut fsm_rows: Vec<(usize, StreamRef)> = Vec::new();
         let mut net_batches: [Vec<(usize, StreamRef)>; 2] = [Vec::new(), Vec::new()];
@@ -779,7 +786,10 @@ impl ShardState {
                 });
                 continue;
             };
-            let first = self.batched.insert(req.stream);
+            let first = !batched.contains(&req.stream);
+            if first {
+                batched.push(req.stream);
+            }
             match self.streams.get(r).expect("freshly admitted handle") {
                 StreamEntry::Compact(_) => {
                     if first && fsm_batchable {
@@ -950,8 +960,9 @@ impl ShardState {
     }
 
     /// Records latencies, folds the batch's counts into the stats slot, and
-    /// only then sends the staged replies: the ordering that makes a
-    /// `Stats` answer count every reply a client already holds.
+    /// only then writes the staged replies, each run of consecutive replies
+    /// to one connection in one write: the ordering that makes a `Stats`
+    /// answer count every reply a client already holds.
     fn finish_replies(&mut self, shared: &SharedState) {
         let end = Instant::now();
         for reply in &self.replies {
@@ -964,8 +975,15 @@ impl ShardState {
         // Same ordering argument for durability: admits/evictions in this
         // batch hit the journal before any of its replies are observable.
         self.flush_persist(shared);
-        for reply in self.replies.drain(..) {
-            let _ = reply.to.send(reply.resp);
+        let mut frames = Vec::new();
+        let mut replies = self.replies.drain(..).peekable();
+        while let Some(reply) = replies.next() {
+            push_frame(&mut frames, &reply.resp.encode());
+            let same_conn = |next: &Reply| Arc::ptr_eq(&next.to, &reply.to);
+            if !replies.peek().is_some_and(same_conn) {
+                reply.to.write(&frames);
+                frames.clear();
+            }
         }
     }
 
@@ -1096,7 +1114,7 @@ struct DecideReq {
     deadline: Option<Instant>,
     enqueued: Instant,
     obs: Vec<f32>,
-    reply: Sender<Response>,
+    reply: Arc<ReplySink>,
 }
 
 /// Worker restart backoff after the first panic, milliseconds; doubles per
@@ -1109,7 +1127,7 @@ const RESTART_BACKOFF_CAP_MS: u64 = 500;
 /// The shard thread body: serve until shutdown, restarting the serving
 /// loop with exponential backoff whenever it panics. The queue receiver
 /// outlives the panic, so in-flight requests survive worker crashes.
-pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>) {
+pub(crate) fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>) {
     let mut backoff_ms = RESTART_BACKOFF_MS;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_loop(index, &rx, &shared)));

@@ -6,9 +6,7 @@
 //! - **Slot handles.** Batch partitioning wants to touch each stream
 //!   several times per drain (tier check, cursor read, outcome apply).
 //!   The slab hands out a dense `u32` slot index on lookup, so the later
-//!   touches are direct indexing instead of re-hashing the key — which is
-//!   also what fixes the old O(n²) `batched_streams.contains()` scan (see
-//!   [`StreamSet`]).
+//!   touches are direct indexing instead of re-hashing the key.
 //! - **Generation stamps.** Slots are recycled through a free list; a
 //!   stale handle (held across a hibernate/evict) must fail closed rather
 //!   than alias the slot's new tenant. Every slot carries a generation
@@ -271,70 +269,6 @@ impl<T> StreamTable<T> {
     }
 }
 
-/// A reusable small set of stream keys for per-drain batch membership —
-/// the replacement for probing a `Vec<u64>` with `.contains()` per
-/// request (O(n²) across a batch). Open addressing over the same scramble
-/// as [`StreamTable`]; `clear` is O(inserted) via an undo log, so a
-/// mostly-empty drain costs nothing.
-pub struct StreamSet {
-    entries: Vec<u64>,
-    used: Vec<u32>,
-    mask: usize,
-}
-
-/// The sentinel for an empty [`StreamSet`] cell; `u64::MAX` is not a
-/// routable stream id (the protocol caps ids below it in practice, and a
-/// collision would only cost one redundant scalar-path decision).
-const EMPTY: u64 = u64::MAX;
-
-impl StreamSet {
-    /// A set sized for about `cap` members per drain.
-    pub fn with_capacity(cap: usize) -> Self {
-        let cap = (cap * 2).next_power_of_two().max(32);
-        Self {
-            entries: vec![EMPTY; cap],
-            used: Vec::new(),
-            mask: cap - 1,
-        }
-    }
-
-    /// Inserts `key`; returns whether it was newly added.
-    pub fn insert(&mut self, key: u64) -> bool {
-        if self.used.len() * 2 >= self.entries.len() {
-            self.grow();
-        }
-        let mut i = Index::hash(key) & self.mask;
-        loop {
-            let k = self.entries[i];
-            if k == EMPTY {
-                self.entries[i] = key;
-                self.used.push(i as u32);
-                return true;
-            }
-            if k == key {
-                return false;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Empties the set in O(members).
-    pub fn clear(&mut self) {
-        for &i in &self.used {
-            self.entries[i as usize] = EMPTY;
-        }
-        self.used.clear();
-    }
-
-    fn grow(&mut self) {
-        let mut bigger = StreamSet::with_capacity(self.entries.len());
-        for &i in &self.used {
-            bigger.insert(self.entries[i as usize]);
-        }
-        *self = bigger;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,21 +345,5 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 4, 5, 6, 8, 9]);
-    }
-
-    #[test]
-    fn stream_set_dedups_and_clears_cheaply() {
-        let mut s = StreamSet::with_capacity(4);
-        assert!(s.insert(5));
-        assert!(!s.insert(5));
-        assert!(s.insert(6));
-        // Growth preserves membership.
-        for k in 100..200u64 {
-            assert!(s.insert(k), "fresh key {k}");
-        }
-        assert!(!s.insert(150));
-        s.clear();
-        assert!(s.insert(5), "cleared set forgets members");
-        assert!(s.insert(150));
     }
 }

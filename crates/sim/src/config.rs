@@ -1,7 +1,5 @@
 //! Simulator configuration.
 
-use crate::level::Level;
-
 /// All tunables of the storage-system simulator.
 ///
 /// Defaults model a mid-size Dorado V6 node: 32 cores, 8 MiB/interval
@@ -129,11 +127,6 @@ impl SimConfig {
             return Err("requests_norm must be positive".into());
         }
         Ok(())
-    }
-
-    /// Initial core count at `level`.
-    pub fn initial_cores(&self, level: Level) -> usize {
-        self.initial_allocation[level.index()]
     }
 
     /// Ideal aggregate capability `N × m` (Definition 2), in KiB/interval.

@@ -163,11 +163,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Iterates over the rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Copies column `c` into `dst` without allocating.
     ///
     /// # Panics
@@ -537,13 +532,6 @@ impl Matrix {
     /// Index of the maximum element of row `r` (first on ties).
     pub fn argmax_row(&self, r: usize) -> usize {
         crate::stats::argmax(self.row(r))
-    }
-
-    /// Clamps every element into `[lo, hi]` in place.
-    pub fn clamp_inplace(&mut self, lo: f32, hi: f32) {
-        for x in &mut self.data {
-            *x = x.clamp(lo, hi);
-        }
     }
 
     /// True if any element is NaN or infinite.

@@ -38,6 +38,11 @@
 # the per-stream delta is dominated by table preallocation slack (the 1k
 # row reads single-digit bytes), so relative thresholds on them flake;
 # the absolute ≤256 B/stream budget is enforced by verify.sh instead.
+#
+# Timings are only comparable on one machine. bench_snapshot.sh writes a
+# "machine" fingerprint as the first key; when the two fingerprints differ,
+# or either snapshot has none, the script prints both and exits 0 without
+# comparing.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -53,9 +58,22 @@ for f in "$old" "$new"; do
     [ -r "$f" ] || { echo "error: cannot read $f" >&2; exit 2; }
 done
 
-# BENCH_<n>.json is a flat string->number map; extract "name value" lines.
+machine() {
+    sed -n 's/^[[:space:]]*"machine":[[:space:]]*"\([^"]*\)".*$/\1/p' "$1"
+}
+old_machine="$(machine "$old")"
+new_machine="$(machine "$new")"
+if [ -z "$old_machine" ] || [ "$old_machine" != "$new_machine" ]; then
+    echo "machine of $old: ${old_machine:-(not recorded)}"
+    echo "machine of $new: ${new_machine:-(not recorded)}"
+    echo "not comparing: the snapshots do not come from one recorded machine"
+    exit 0
+fi
+
+# Apart from "machine", BENCH_<n>.json is a flat string->number map;
+# extract "name value" lines for the numeric keys.
 extract() {
-    sed -n 's/^[[:space:]]*"\([^"]*\)":[[:space:]]*\([0-9.eE+-]*\).*$/\1 \2/p' "$1" | sort
+    sed -n 's/^[[:space:]]*"\([^"]*\)":[[:space:]]*\([-0-9.][0-9.eE+-]*\).*$/\1 \2/p' "$1" | sort
 }
 
 join -a1 -a2 -e MISSING -o 0,1.2,2.2 <(extract "$old") <(extract "$new") |

@@ -16,6 +16,10 @@
 # snapshots stay comparable across shim versions. Compare two snapshots
 # (with a regression threshold) via:
 #   scripts/bench_compare.sh BENCH_1.json BENCH_2.json [threshold_pct]
+#
+# The first key, "machine", fingerprints the host: CPU model, nproc, and
+# which of avx2, fma, avx512f and avx512_vnni it has. bench_compare.sh
+# only compares snapshots whose fingerprints match.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,16 +87,23 @@ target/release/lahd serve-bench --scale tiny --artifacts "$serve_dir" \
     --bench-json "$serve_dir/rows.json" >/dev/null
 grep "serve_streams" "$serve_dir/rows.json" >> "$tmp"
 
-awk 'BEGIN { print "{"; first = 1 }
+model="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo | head -n1 | tr -d '"\\')"
+isa=""
+for flag in avx2 fma avx512f avx512_vnni; do
+    if grep -m1 '^flags' /proc/cpuinfo | grep -qw "$flag"; then
+        isa="$isa $flag"
+    fi
+done
+machine="${model:-unknown cpu}; nproc $(nproc);${isa:- no simd flags}"
+
+awk -v machine="$machine" 'BEGIN { printf("{\n  \"machine\": \"%s\"", machine) }
 /"bench"/ {
     line = $0
     sub(/^\{"bench":"/, "", line)
     name = line; sub(/".*/, "", name)
     med = line; sub(/.*"median_ns":/, "", med); sub(/[,}].*/, "", med)
-    if (!first) printf(",\n")
-    first = 0
-    printf("  \"%s\": %s", name, med)
+    printf(",\n  \"%s\": %s", name, med)
 }
 END { print "\n}" }' "$tmp" > "$out"
 
-echo "wrote $out ($(grep -c ':' "$out") benches)"
+echo "wrote $out ($(grep -c '": [-0-9.]' "$out") benches; machine: $machine)"

@@ -48,8 +48,9 @@
 #    serve_throughput/* and serve_latency/* from `lahd serve-bench` —
 #    rate rows are gated higher-is-better); since BENCH_8.json also the
 #    durability rows (serve_persist/* checkpoint write, recovery scan,
-#    journal append).
-#    Skip with LAHD_SKIP_BENCH_GATE=1 (e.g. on a loaded box).
+#    journal append). Snapshots carry a machine fingerprint, and the
+#    gate compares only against a snapshot taken on the same machine (it
+#    prints both fingerprints and passes otherwise).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -230,24 +231,20 @@ fi
 
 rm -rf "$smoke_dir"
 
-if [ "${LAHD_SKIP_BENCH_GATE:-0}" = "1" ]; then
-    echo "== perf gate: skipped (LAHD_SKIP_BENCH_GATE=1)"
+latest=""
+n=1
+while [ -e "BENCH_${n}.json" ]; do
+    latest="BENCH_${n}.json"
+    n=$((n + 1))
+done
+if [ -z "$latest" ]; then
+    echo "== perf gate: no committed BENCH_<n>.json snapshot; skipping"
 else
-    latest=""
-    n=1
-    while [ -e "BENCH_${n}.json" ]; do
-        latest="BENCH_${n}.json"
-        n=$((n + 1))
-    done
-    if [ -z "$latest" ]; then
-        echo "== perf gate: no committed BENCH_<n>.json snapshot; skipping"
-    else
-        echo "== perf gate: quick snapshot vs $latest (50% threshold)"
-        tmp="$(mktemp)"
-        trap 'rm -f "$tmp"' EXIT
-        scripts/bench_snapshot.sh "$tmp" >/dev/null
-        scripts/bench_compare.sh "$latest" "$tmp" 50
-    fi
+    echo "== perf gate: quick snapshot vs $latest (50% threshold, same machine only)"
+    tmp="$(mktemp)"
+    trap 'rm -f "$tmp"' EXIT
+    scripts/bench_snapshot.sh "$tmp" >/dev/null
+    scripts/bench_compare.sh "$latest" "$tmp" 50
 fi
 
 echo "verify: all green"
