@@ -156,6 +156,34 @@ fn bench_inference(c: &mut Criterion) {
         })
     });
 
+    // Six rows through the packed engine's multi-row GEMV kernels, the
+    // shape of a serving shard's batched shadow replay. Reported per row:
+    // one 6-row batch every sixth call, amortised.
+    let obs6 = {
+        let mut m = lahd_tensor::Matrix::zeros(6, Observation::DIM);
+        for r in 0..6 {
+            m.row_mut(r).copy_from_slice(&obs_vec);
+        }
+        m
+    };
+    let h6 = lahd_tensor::Matrix::zeros(6, 128);
+    for (name, row_engine) in [
+        ("gru128_infer_batch6_packed", &engine),
+        ("gru128_infer_batch6_quant", &engine_quant),
+    ] {
+        let mut scratch6 = lahd_rl::InferScratch::default();
+        let mut call = 0usize;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                call += 1;
+                if call.is_multiple_of(6) {
+                    row_engine.infer_batch_into(&agent, &obs6, &h6, &mut scratch6);
+                }
+                std::hint::black_box(scratch6.values.as_slice().first().copied())
+            })
+        });
+    }
+
     // Demo-scale GRU for reference.
     let small = RecurrentActorCritic::new(Observation::DIM, 48, Action::COUNT, 0);
     let hs = small.initial_state();

@@ -15,7 +15,9 @@
 //! distributional score can see it, but exact repetition at vector
 //! granularity is vanishingly unlikely under any live workload.
 
-use crate::stats::{exact_quantile, BaselineProfile};
+#[cfg(doc)]
+use crate::stats::exact_quantile;
+use crate::stats::BaselineProfile;
 
 /// Result of scoring the current window against the baseline.
 #[derive(Clone, Copy, Debug, Default)]
@@ -101,9 +103,21 @@ impl DriftDetector {
         self.total
     }
 
-    /// Scores the current window. Cheap enough to call at evaluation
-    /// boundaries (it sorts one `window`-length scratch per dimension), not
-    /// meant for every decision.
+    /// Scores the current window.
+    ///
+    /// Cheap enough for every health evaluation of every resident stream:
+    /// one pass over the window accumulates all dimensions' sums (each
+    /// dimension's f64 additions in ring-slot order, starting from `-0.0`
+    /// as `Iterator::sum` does), a second pass their squared deviations,
+    /// and each median comes from a selection over order-preserving integer
+    /// keys rather than a sort. The result has the same bits as sorting a
+    /// copy of each dimension and taking [`exact_quantile`] at 0.5 (the
+    /// drift tests keep that scorer as the reference). Scratch lives on
+    /// the call, not in the detector.
+    ///
+    /// # Panics
+    /// Panics if the window holds a NaN (observations must be finite; the
+    /// serving daemon rejects non-finite ones at its boundary).
     pub fn score(&self) -> DriftScore {
         let dim = self.baseline.dim();
         let mut out = DriftScore {
@@ -115,12 +129,111 @@ impl DriftDetector {
             return out;
         }
         let n = self.filled;
+        let window = &self.ring[..n * dim];
+        let mut means = vec![-0.0f64; dim];
+        for row in window.chunks_exact(dim) {
+            for (m, &v) in means.iter_mut().zip(row) {
+                *m += v as f64;
+            }
+        }
+        for m in &mut means {
+            *m /= n as f64;
+        }
+        let mut sq = vec![-0.0f64; dim];
+        for row in window.chunks_exact(dim) {
+            for ((s, &v), &mean) in sq.iter_mut().zip(row).zip(&means) {
+                *s += (v as f64 - mean).powi(2);
+            }
+        }
+        // The median of a sorted window, `exact_quantile(sorted, 0.5)`,
+        // reads the order statistics at `floor(rank)` and `ceil(rank)`.
+        let rank = 0.5 * (n - 1) as f64;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        let frac = rank - lo as f64;
+        let mut keys = vec![0i32; n];
+        for d in 0..dim {
+            let mean = means[d];
+            if mean.is_nan() {
+                // NaN in the window, or both infinities: only the first is
+                // an error (an infinite window still scores).
+                let column = window.iter().skip(d).step_by(dim);
+                assert!(column.clone().all(|v| !v.is_nan()), "finite observations");
+            }
+            for (key, &v) in keys.iter_mut().zip(window.iter().skip(d).step_by(dim)) {
+                *key = order_key(v);
+            }
+            let (_, &mut lo_key, above) = keys.select_nth_unstable(lo);
+            let hi_key = if hi == lo {
+                lo_key
+            } else {
+                *above.iter().min().expect("hi rank lies above lo")
+            };
+            let (lo_v, hi_v) = (from_order_key(lo_key) as f64, from_order_key(hi_key) as f64);
+            let median = lo_v + (hi_v - lo_v) * frac;
+
+            let base = &self.baseline.dims[d];
+            let denom = base.denom();
+            let var = sq[d] / n as f64;
+            let mean_shift = (mean - base.mean).abs() / denom;
+            let std_shift = (var.sqrt() - base.std).abs() / denom;
+            let iqr_denom = (base.p75 - base.p25).max(denom);
+            let median_shift = (median - base.p50).abs() / iqr_denom;
+
+            out.mean_shift = out.mean_shift.max(mean_shift);
+            out.std_shift = out.std_shift.max(std_shift);
+            out.median_shift = out.median_shift.max(median_shift);
+            let dim_score = mean_shift.max(std_shift).max(median_shift);
+            if dim_score > out.score {
+                out.score = dim_score;
+                out.worst_dim = d;
+            }
+        }
+        out
+    }
+}
+
+/// An `i32` whose integer order is `f32::total_cmp` order. It differs
+/// from the float order only in putting `-0.0` below `+0.0`, and a median
+/// read as `lo + (hi − lo)·frac` then measured as `|median − p50|` cannot
+/// tell the two zeros apart, so selecting on keys gives a sort's bits.
+#[inline]
+fn order_key(v: f32) -> i32 {
+    let bits = v.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// Inverse of [`order_key`] (the mapping is an involution).
+#[inline]
+fn from_order_key(key: i32) -> f32 {
+    f32::from_bits((key ^ (((key >> 31) as u32) >> 1) as i32) as u32)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stats::{exact_quantile, DimProfile, StreamingProfile};
+    use proptest::prelude::*;
+
+    /// The sort-based scorer `score` replaced, kept verbatim as its
+    /// reference: per dimension, copy the window, sum it, sort it and read
+    /// the median with `exact_quantile`.
+    fn reference_score(det: &DriftDetector) -> DriftScore {
+        let dim = det.baseline.dim();
+        let mut out = DriftScore {
+            samples: det.filled,
+            stuck_run: det.stuck_run,
+            ..DriftScore::default()
+        };
+        if det.filled < 2 {
+            return out;
+        }
+        let n = det.filled;
         let mut scratch = vec![0.0f64; n];
         for d in 0..dim {
             for (slot, row) in scratch.iter_mut().zip(0..n) {
-                *slot = self.ring[row * dim + d] as f64;
+                *slot = det.ring[row * dim + d] as f64;
             }
-            let base = &self.baseline.dims[d];
+            let base = &det.baseline.dims[d];
             let denom = base.denom();
 
             let mean = scratch.iter().sum::<f64>() / n as f64;
@@ -144,12 +257,87 @@ impl DriftDetector {
         }
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::stats::StreamingProfile;
+    fn assert_same_bits(got: DriftScore, want: DriftScore) {
+        let f = |v: f64| v.to_bits();
+        assert_eq!(f(got.score), f(want.score), "score: {got:?} vs {want:?}");
+        assert_eq!(got.worst_dim, want.worst_dim, "worst_dim");
+        assert_eq!(f(got.mean_shift), f(want.mean_shift), "mean_shift");
+        assert_eq!(f(got.std_shift), f(want.std_shift), "std_shift");
+        assert_eq!(f(got.median_shift), f(want.median_shift), "median_shift");
+        assert_eq!(got.samples, want.samples, "samples");
+        assert_eq!(got.stuck_run, want.stuck_run, "stuck_run");
+    }
+
+    /// Values that make ties, signed zeros and wide magnitudes likely.
+    const POOL: [f32; 10] = [-0.0, 0.0, 1.0, -1.0, 0.5, 0.5, 2.5, -3.25, 1e-3, 100.0];
+
+    fn profile(d: usize, p50: f64) -> DimProfile {
+        let spread = 0.25 * d as f64;
+        DimProfile {
+            mean: p50 + 0.1,
+            std: spread,
+            min: p50 - 1.0,
+            max: p50 + 1.0,
+            p25: p50 - spread,
+            p50,
+            p75: p50 + spread,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every field of the selection scorer equals the sort-based
+        /// reference bit for bit, over partial and full (wrapped) windows,
+        /// tied and signed-zero values, constant dimensions and a zero
+        /// baseline median, checked after every observation.
+        #[test]
+        fn selection_scorer_matches_the_sort_reference(
+            window in 1usize..40,
+            dim in 1usize..5,
+            picks in proptest::collection::vec((0usize..10, -4.0f32..4.0, 0u8..3), 0..120),
+            p50_zero in 0u8..2,
+        ) {
+            let dims = (0..dim)
+                .map(|d| profile(d, if p50_zero == 0 { 0.0 } else { d as f64 * 0.5 - 0.5 }))
+                .collect();
+            let mut det = DriftDetector::new(BaselineProfile { dims, count: 100 }, window);
+            let mut obs = vec![0.0f32; dim];
+            for (i, &(pick, random, kind)) in picks.iter().enumerate() {
+                for (d, o) in obs.iter_mut().enumerate() {
+                    *o = match (d, kind) {
+                        // Dimension 0 stays constant; repeats are stuck runs.
+                        (0, _) => 1.5,
+                        (_, 0) => POOL[(pick + d) % POOL.len()],
+                        (_, 1) => random,
+                        _ => POOL[(pick + i) % 2],
+                    };
+                }
+                det.observe(&obs);
+                assert_same_bits(det.score(), reference_score(&det));
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_windows_score_like_the_reference() {
+        let dims = (0..2).map(|d| profile(d, 0.0)).collect();
+        let mut det = DriftDetector::new(BaselineProfile { dims, count: 10 }, 8);
+        for obs in [[f32::INFINITY, 1.0], [f32::NEG_INFINITY, 2.0], [0.0, -0.0]] {
+            det.observe(&obs);
+            assert_same_bits(det.score(), reference_score(&det));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite observations")]
+    fn a_nan_in_the_window_is_a_loud_failure() {
+        let mut det = DriftDetector::new(baseline(2), 8);
+        det.observe(&[0.5, 0.5]);
+        det.observe(&[f32::NAN, 0.5]);
+        let _ = det.score();
+    }
 
     /// Deterministic in-distribution generator: a low-discrepancy walk.
     fn sample(i: u64, d: usize) -> f32 {

@@ -15,13 +15,20 @@
 //!
 //! Every decision is served synchronously by the active tier alone; the
 //! observation is buffered, and every `flush_every` steps the buffered
-//! stream is replayed through the *other* tiers in one deferred batch (the
+//! window is replayed through the *other* tiers in one deferred batch (the
 //! shadow-mode of the paper's deployment story: the FSM answers on the hot
 //! path, the nets replay asynchronously). Because every tier consumes the
 //! full observation stream, recurrent fallbacks keep warm hidden state and
 //! a tier switch at a flush boundary is seamless. Primary-vs-reference
 //! actions are compared on a seeded sample of steps and health is
 //! re-evaluated at each flush.
+//!
+//! The replay can also happen outside the guard. A caller that runs many
+//! guards (a serving shard) can step their non-serving tiers itself, many
+//! windows at once, and hand the actions over with
+//! [`GuardedPolicy::record_replayed`] or [`GuardedPolicy::act_replayed`].
+//! Both paths end in the same compare-and-evaluate step; the guard replays
+//! only the tiers the caller did not.
 //!
 //! # Health state machine
 //!
@@ -313,7 +320,7 @@ impl GuardedPolicy {
     /// Snapshot of everything the guard has accumulated (flushes pending
     /// shadow replay first so the evidence is complete).
     pub fn snapshot(&mut self) -> GuardSnapshot {
-        self.flush();
+        self.flush(&[]);
         let (compared, diverged) = self.shadow.totals();
         GuardSnapshot {
             state: self.state,
@@ -331,9 +338,22 @@ impl GuardedPolicy {
         }
     }
 
-    /// Replays the buffered observation stream through every non-serving
-    /// tier and records sampled primary-vs-reference comparisons.
-    fn flush(&mut self) {
+    /// Whether the next recorded decision closes the open window, i.e.
+    /// triggers the replay, comparison and health evaluation.
+    pub fn closes_window_next(&self) -> bool {
+        (self.step + 1) % self.cfg.flush_every as u64 == 0
+    }
+
+    /// The open window's buffered observations, oldest first. The decision
+    /// that closes the window is not among them until it is recorded.
+    pub fn window(&self) -> impl ExactSizeIterator<Item = &[f32]> + '_ {
+        self.pending.iter().map(|p| p.obs.as_slice())
+    }
+
+    /// Replays the buffered window through every non-serving tier the
+    /// caller did not step (`replayed[t]` holds tier `t`'s actions when it
+    /// did) and records sampled primary-vs-reference comparisons.
+    fn flush(&mut self, replayed: &[Option<&[usize]>]) {
         if self.pending.is_empty() {
             return;
         }
@@ -343,14 +363,28 @@ impl GuardedPolicy {
             if t == self.active {
                 continue;
             }
-            if t != 0 && t != self.shadow_tier {
-                // Keep non-compared fallbacks warm without collecting.
-                for p in &self.pending {
-                    tier.act_vec(&p.obs);
+            let compared = t == 0 || t == self.shadow_tier;
+            let actions: Vec<usize> = match replayed.get(t).copied().flatten() {
+                Some(actions) => {
+                    assert_eq!(
+                        actions.len(),
+                        self.pending.len(),
+                        "tier {t} replayed a window of another length"
+                    );
+                    if !compared {
+                        continue;
+                    }
+                    actions.to_vec()
                 }
-                continue;
-            }
-            let actions: Vec<usize> = self.pending.iter().map(|p| tier.act_vec(&p.obs)).collect();
+                None if !compared => {
+                    // Keep non-compared fallbacks warm without collecting.
+                    for p in &self.pending {
+                        tier.act_vec(&p.obs);
+                    }
+                    continue;
+                }
+                None => self.pending.iter().map(|p| tier.act_vec(&p.obs)).collect(),
+            };
             if t == 0 {
                 primary = actions;
             } else {
@@ -501,6 +535,45 @@ impl GuardedPolicy {
     /// invoked; the caller is responsible for having advanced the active
     /// tier's recurrent state with this observation.
     pub fn record_served(&mut self, obs: &[f32], action: usize) {
+        self.record(obs, action, &[]);
+    }
+
+    /// [`GuardedPolicy::record_served`] with some non-serving tiers
+    /// already stepped by the caller through the window this decision
+    /// closes (see [`GuardedPolicy::closes_window_next`]): `replayed[t]`,
+    /// when present, holds tier `t`'s actions over
+    /// [`GuardedPolicy::window`] followed by `obs`, and the caller has
+    /// advanced that tier's state through the same observations. The guard
+    /// replays the tiers left `None`, then compares and evaluates exactly as
+    /// after its own replay; the entry for the serving tier is ignored.
+    /// With every entry `None` this is `record_served`.
+    ///
+    /// # Panics
+    /// Panics if actions are handed over for a decision that does not
+    /// close the window, or a replayed window has the wrong length.
+    pub fn record_replayed(&mut self, obs: &[f32], action: usize, replayed: &[Option<&[usize]>]) {
+        assert!(
+            replayed.iter().all(Option::is_none) || self.closes_window_next(),
+            "replayed actions handed over mid-window"
+        );
+        self.record(obs, action, replayed);
+    }
+
+    /// [`VecPolicy::act_vec`] with some non-serving tiers stepped by the
+    /// caller through the window this decision closes (see
+    /// [`GuardedPolicy::record_replayed`]).
+    ///
+    /// # Panics
+    /// As [`GuardedPolicy::record_replayed`].
+    pub fn act_replayed(&mut self, obs: &[f32], replayed: &[Option<&[usize]>]) -> usize {
+        let action = self.tiers[self.active].act_vec(obs);
+        self.record_replayed(obs, action, replayed);
+        action
+    }
+
+    /// Books one served decision; at a window boundary, the one
+    /// compare-and-evaluate step both replay paths share.
+    fn record(&mut self, obs: &[f32], action: usize, replayed: &[Option<&[usize]>]) {
         self.drift.observe(obs);
         self.tier_steps[self.active] += 1;
         self.pending.push(PendingStep {
@@ -510,7 +583,7 @@ impl GuardedPolicy {
         });
         self.step += 1;
         if self.step % self.cfg.flush_every as u64 == 0 {
-            self.flush();
+            self.flush(replayed);
             self.evaluate();
         }
     }
@@ -547,7 +620,7 @@ impl VecPolicy for GuardedPolicy {
     /// the accumulated statistics deliberately survive — a deployed guard
     /// outlives episodes.
     fn reset(&mut self) {
-        self.flush();
+        self.flush(&[]);
         for tier in &mut self.tiers {
             tier.reset();
         }

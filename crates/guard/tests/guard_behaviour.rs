@@ -326,6 +326,122 @@ fn record_served_matches_act_vec_bookkeeping() {
     assert_eq!(a.transitions.len(), b.transitions.len());
 }
 
+/// A recurrent tier whose state lives in a cell the test shares, the way
+/// a serving shard shares its net tiers' hidden state.
+struct Walker(std::rc::Rc<std::cell::Cell<u64>>, &'static str);
+
+/// One step of a [`Walker`]'s state: a seeded LCG fed by the observation;
+/// the action is one state bit, so two walkers disagree about half the
+/// time.
+fn walk(state: &std::cell::Cell<u64>, o: &[f32]) -> usize {
+    let next = state
+        .get()
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add((o[0] * 1000.0) as u64);
+    state.set(next);
+    ((next >> 33) & 1) as usize
+}
+
+impl VecPolicy for Walker {
+    fn reset(&mut self) {}
+
+    fn act_vec(&mut self, obs: &[f32]) -> usize {
+        walk(&self.0, obs)
+    }
+
+    fn name(&self) -> &str {
+        self.1
+    }
+}
+
+/// The serving daemon's batched shadow replay: a caller that steps the
+/// non-serving tiers itself over `window()` plus the closing observation
+/// and hands their actions to `act_replayed` must leave the guard exactly
+/// where its own replay would — same actions, states, tiers, comparisons
+/// and transitions — whichever tier serves, with the last-resort tier
+/// left for the guard to replay.
+#[test]
+fn caller_replayed_windows_match_the_guard_replay() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+    let mk = || -> (GuardedPolicy, Vec<Rc<Cell<u64>>>) {
+        let cells: Vec<Rc<Cell<u64>>> = (1..=3).map(|s| Rc::new(Cell::new(s))).collect();
+        let tiers: Vec<Box<dyn VecPolicy>> = vec![
+            Box::new(Walker(cells[0].clone(), "fsm")),
+            Box::new(Walker(cells[1].clone(), "quant")),
+            Box::new(Walker(cells[2].clone(), "exact")),
+            Box::new(Constant(0, "last-resort")),
+        ];
+        (GuardedPolicy::new(tiers, 2, unit_baseline(), cfg()), cells)
+    };
+    let (mut own, _) = mk();
+    let (mut handed, cells) = mk();
+    let mut replays = 0;
+    let mut tiers_seen = [false; 4];
+    for i in 0..600u64 {
+        let o = obs(i, if i % 96 < 48 { 0.3 } else { 0.7 });
+        let want = own.act_vec(&o);
+        let got = if handed.closes_window_next() {
+            let active = handed.active_tier();
+            let window: Vec<Vec<f32>> = handed
+                .window()
+                .map(<[f32]>::to_vec)
+                .chain([o.clone()])
+                .collect();
+            let actions: Vec<Vec<usize>> = cells
+                .iter()
+                .enumerate()
+                .map(|(t, cell)| {
+                    if t == active {
+                        Vec::new()
+                    } else {
+                        window.iter().map(|w| walk(cell, w)).collect()
+                    }
+                })
+                .collect();
+            let replayed: Vec<Option<&[usize]>> = (0..4)
+                .map(|t| (t < 3 && t != active).then(|| actions[t].as_slice()))
+                .collect();
+            replays += 1;
+            handed.act_replayed(&o, &replayed)
+        } else {
+            handed.act_vec(&o)
+        };
+        assert_eq!(got, want, "step {i}");
+        assert_eq!(handed.state(), own.state(), "step {i}");
+        assert_eq!(handed.active_tier(), own.active_tier(), "step {i}");
+        tiers_seen[own.active_tier()] = true;
+    }
+    assert_eq!(replays, 600 / cfg().flush_every);
+    assert!(
+        tiers_seen.iter().filter(|&&t| t).count() >= 3,
+        "the run should visit several serving tiers: {tiers_seen:?}"
+    );
+    let (a, b) = (own.snapshot(), handed.snapshot());
+    assert_eq!(a.tier_steps, b.tier_steps);
+    assert_eq!((a.compared, a.diverged), (b.compared, b.diverged));
+    assert_eq!(a.samples, b.samples);
+    assert_eq!(a.transitions.len(), b.transitions.len());
+    for (x, y) in a.transitions.iter().zip(&b.transitions) {
+        assert_eq!(
+            (x.step, x.from, x.to, x.from_tier, x.to_tier, x.reason),
+            (y.step, y.from, y.to, y.from_tier, y.to_tier, y.reason)
+        );
+        assert_eq!(x.divergence.to_bits(), y.divergence.to_bits());
+        assert_eq!(x.drift.to_bits(), y.drift.to_bits());
+    }
+}
+
+#[test]
+#[should_panic(expected = "mid-window")]
+fn replayed_actions_mid_window_are_rejected() {
+    let tiers: Vec<Box<dyn VecPolicy>> =
+        vec![Box::new(Threshold), Box::new(Constant(0, "shadow-net"))];
+    let mut guard = GuardedPolicy::new(tiers, 1, unit_baseline(), cfg());
+    assert!(!guard.closes_window_next());
+    guard.act_replayed(&obs(0, 0.2), &[None, Some(&[0])]);
+}
+
 #[test]
 fn healthy_agreeing_stream_never_transitions() {
     let tiers: Vec<Box<dyn VecPolicy>> =

@@ -6,8 +6,9 @@
 //! the pack across decisions removes both the per-`k` output-row traffic
 //! and (for the GRU) two of the three gate traversals: the gate weight
 //! matrices that share an operand are packed side by side, so one
-//! [`PackedGemvWeights::gemv_into`] pass produces every gate's
-//! pre-activation.
+//! [`PackedGemvWeights::gemv_rows_into`] pass produces every gate's
+//! pre-activation for every row of a small batch, loading each weight
+//! once for all of them.
 //!
 //! # Freshness
 //!
@@ -30,7 +31,7 @@
 //!   cutoff both sides perform the same ascending-`k` folds and identical
 //!   element-wise arithmetic, and at [`BLOCK_MIN_ROWS`] rows and above the
 //!   packed wrappers fall back to the unpacked methods outright (batches
-//!   that large are better served by the blocked GEMM than by row-at-a-time
+//!   that large are better served by the blocked GEMM than by multi-row
 //!   GEMV).
 //! * [`Precision::QuantizedFast`]: weights ride the i8 column panels of
 //!   [`PackedGemvWeightsI8`] (4× less weight streaming, per-panel
@@ -154,10 +155,14 @@ impl PackedLinear {
             (x.rows(), self.layer.out_dim()),
             "packed linear output shape mismatch"
         );
-        for r in 0..x.rows() {
-            match self.precision {
-                Precision::Exact => self.weights.gemv_into(x.row(r), out.row_mut(r)),
-                Precision::QuantizedFast => self.weights_i8.gemv_into(x.row(r), out.row_mut(r)),
+        let rows = x.rows();
+        match self.precision {
+            Precision::Exact => self
+                .weights
+                .gemv_rows_into(rows, x.as_slice(), out.as_mut_slice()),
+            Precision::QuantizedFast => {
+                self.weights_i8
+                    .gemv_rows_into(rows, x.as_slice(), out.as_mut_slice())
             }
         }
         out.add_row_broadcast(store.value(self.layer.b));
@@ -323,8 +328,9 @@ impl PackedGru {
         }
     }
 
-    /// The bit-identical row loop: f32 panels, scalar libm gates in exactly
-    /// the unpacked path's association order.
+    /// The bit-identical path: one multi-row product per fused gate pack,
+    /// then scalar libm gates per row in exactly the unpacked path's
+    /// association order.
     fn infer_rows_exact(
         &self,
         store: &ParamStore,
@@ -334,50 +340,54 @@ impl PackedGru {
         out: &mut Matrix,
     ) {
         let hd = self.cell.hidden_dim();
+        let rows = x.rows();
         let bz = store.value(self.cell.bz).row(0);
         let br = store.value(self.cell.br).row(0);
         let bn = store.value(self.cell.bn).row(0);
 
-        for r in 0..x.rows() {
+        // One fused pass per operand over every row: all three x-side
+        // gates, then both h-side gates that read the raw state.
+        self.wzrn
+            .gemv_rows_into(rows, x.as_slice(), scratch.xw.as_mut_slice());
+        self.uzr
+            .gemv_rows_into(rows, h.as_slice(), scratch.hu.as_mut_slice());
+        for r in 0..rows {
             let hr = h.row(r);
-            // One fused pass per operand: all three x-side gates, then both
-            // h-side gates that read the raw state.
-            self.wzrn.gemv_into(x.row(r), scratch.xw.row_mut(r));
-            self.uzr.gemv_into(hr, scratch.hu.row_mut(r));
-            {
-                let xw = scratch.xw.row(r);
-                let (xwz, xwr) = (&xw[..hd], &xw[hd..2 * hd]);
-                let hu = scratch.hu.row(r);
-                let (huz, hur) = (&hu[..hd], &hu[hd..]);
-                let z_row = scratch.z.row_mut(r);
-                let rh_row = scratch.rh.row_mut(r);
-                for j in 0..hd {
-                    // z = σ(x·Wz + h·Uz + bz), r = σ(x·Wr + h·Ur + br) —
-                    // the same association order as the unpacked path.
-                    z_row[j] = sigmoid((xwz[j] + huz[j]) + bz[j]);
-                    rh_row[j] = sigmoid((xwr[j] + hur[j]) + br[j]) * hr[j];
-                }
+            let xw = scratch.xw.row(r);
+            let (xwz, xwr) = (&xw[..hd], &xw[hd..2 * hd]);
+            let hu = scratch.hu.row(r);
+            let (huz, hur) = (&hu[..hd], &hu[hd..]);
+            let z_row = scratch.z.row_mut(r);
+            let rh_row = scratch.rh.row_mut(r);
+            for j in 0..hd {
+                // z = σ(x·Wz + h·Uz + bz), r = σ(x·Wr + h·Ur + br) —
+                // the same association order as the unpacked path.
+                z_row[j] = sigmoid((xwz[j] + huz[j]) + bz[j]);
+                rh_row[j] = sigmoid((xwr[j] + hur[j]) + br[j]) * hr[j];
             }
-            self.un.gemv_into(scratch.rh.row(r), scratch.nu.row_mut(r));
-            {
-                let xwn = &scratch.xw.row(r)[2 * hd..];
-                let nu = scratch.nu.row(r);
-                let z_row = scratch.z.row(r);
-                let out_row = out.row_mut(r);
-                for j in 0..hd {
-                    // n = tanh(x·Wn + (r∘h)·Un + bn); h' = (1−z)∘n + z∘h.
-                    let nv = ((xwn[j] + nu[j]) + bn[j]).tanh();
-                    let zv = z_row[j];
-                    out_row[j] = (1.0 - zv) * nv + zv * hr[j];
-                }
+        }
+        self.un
+            .gemv_rows_into(rows, scratch.rh.as_slice(), scratch.nu.as_mut_slice());
+        for r in 0..rows {
+            let hr = h.row(r);
+            let xwn = &scratch.xw.row(r)[2 * hd..];
+            let nu = scratch.nu.row(r);
+            let z_row = scratch.z.row(r);
+            let out_row = out.row_mut(r);
+            for j in 0..hd {
+                // n = tanh(x·Wn + (r∘h)·Un + bn); h' = (1−z)∘n + z∘h.
+                let nv = ((xwn[j] + nu[j]) + bn[j]).tanh();
+                let zv = z_row[j];
+                out_row[j] = (1.0 - zv) * nv + zv * hr[j];
             }
         }
     }
 
-    /// The quantized fast row loop: i8 panels with dequant-on-load, and the
-    /// sigmoid/tanh evaluated slice-at-a-time by the vectorized polynomial
-    /// kernels — both gate sigmoids run as **one** `2H`-wide pass over a
-    /// contiguous pre-activation row instead of `2H` scalar libm calls.
+    /// The quantized fast path: multi-row products over the i8 panels with
+    /// dequant-on-load, and the sigmoid/tanh evaluated slice-at-a-time by
+    /// the vectorized polynomial kernels — both gate sigmoids run as
+    /// **one** `2H`-wide pass over a row's contiguous pre-activations
+    /// instead of `2H` scalar libm calls.
     fn infer_rows_quantized(
         &self,
         store: &ParamStore,
@@ -387,46 +397,48 @@ impl PackedGru {
         out: &mut Matrix,
     ) {
         let hd = self.cell.hidden_dim();
+        let rows = x.rows();
         let bz = store.value(self.cell.bz).row(0);
         let br = store.value(self.cell.br).row(0);
         let bn = store.value(self.cell.bn).row(0);
 
-        for r in 0..x.rows() {
+        self.wzrn_i8
+            .gemv_rows_into(rows, x.as_slice(), scratch.xw.as_mut_slice());
+        self.uzr_i8
+            .gemv_rows_into(rows, h.as_slice(), scratch.hu.as_mut_slice());
+        for r in 0..rows {
+            // Stage [z_pre | r_pre] contiguously, one sigmoid pass for both
+            // gates, then gate the state for the candidate matvec.
             let hr = h.row(r);
-            self.wzrn_i8.gemv_into(x.row(r), scratch.xw.row_mut(r));
-            self.uzr_i8.gemv_into(hr, scratch.hu.row_mut(r));
-            {
-                // Stage [z_pre | r_pre] contiguously, one sigmoid pass for
-                // both gates, then gate the state for the candidate matvec.
-                let xw = scratch.xw.row(r);
-                let hu = scratch.hu.row(r);
-                let zr = scratch.zr.row_mut(r);
-                for j in 0..hd {
-                    zr[j] = (xw[j] + hu[j]) + bz[j];
-                    zr[hd + j] = (xw[hd + j] + hu[hd + j]) + br[j];
-                }
-                sigmoid_slice(zr);
-                let rh_row = scratch.rh.row_mut(r);
-                for j in 0..hd {
-                    rh_row[j] = zr[hd + j] * hr[j];
-                }
+            let xw = scratch.xw.row(r);
+            let hu = scratch.hu.row(r);
+            let zr = scratch.zr.row_mut(r);
+            for j in 0..hd {
+                zr[j] = (xw[j] + hu[j]) + bz[j];
+                zr[hd + j] = (xw[hd + j] + hu[hd + j]) + br[j];
             }
-            self.un_i8
-                .gemv_into(scratch.rh.row(r), scratch.nu.row_mut(r));
-            {
-                let xwn = &scratch.xw.row(r)[2 * hd..];
-                let nu = scratch.nu.row(r);
-                let n_row = scratch.n.row_mut(r);
-                for j in 0..hd {
-                    n_row[j] = (xwn[j] + nu[j]) + bn[j];
-                }
-                tanh_slice(n_row);
-                let z_row = &scratch.zr.row(r)[..hd];
-                let out_row = out.row_mut(r);
-                for j in 0..hd {
-                    let zv = z_row[j];
-                    out_row[j] = (1.0 - zv) * n_row[j] + zv * hr[j];
-                }
+            sigmoid_slice(zr);
+            let rh_row = scratch.rh.row_mut(r);
+            for j in 0..hd {
+                rh_row[j] = zr[hd + j] * hr[j];
+            }
+        }
+        self.un_i8
+            .gemv_rows_into(rows, scratch.rh.as_slice(), scratch.nu.as_mut_slice());
+        for r in 0..rows {
+            let hr = h.row(r);
+            let xwn = &scratch.xw.row(r)[2 * hd..];
+            let nu = scratch.nu.row(r);
+            let n_row = scratch.n.row_mut(r);
+            for j in 0..hd {
+                n_row[j] = (xwn[j] + nu[j]) + bn[j];
+            }
+            tanh_slice(n_row);
+            let z_row = &scratch.zr.row(r)[..hd];
+            let out_row = out.row_mut(r);
+            for j in 0..hd {
+                let zv = z_row[j];
+                out_row[j] = (1.0 - zv) * n_row[j] + zv * hr[j];
             }
         }
     }

@@ -141,8 +141,9 @@ impl InferEngine {
     }
 
     /// Packed counterpart of [`RecurrentActorCritic::infer_batch_into`]:
-    /// below the blocked-GEMM cutoff each environment row runs the fused
-    /// GEMV step (faster than the `B × D` axpy kernels), above it the
+    /// below the blocked-GEMM cutoff the rows run the fused multi-row GEMV
+    /// step (each weight loaded once for all rows, every row bit-identical
+    /// to [`InferEngine::infer_into`] in either precision), above it the
     /// packed layers fall back to the blocked-GEMM batch path.
     ///
     /// # Panics

@@ -226,3 +226,82 @@ fn infer_engine_batch_matches_unpacked_batch() {
         assert_step_matches(&format!("batch {batch}"), &packed, &unpacked);
     }
 }
+
+/// Runs `batch` rows through `engine.infer_batch_into` and each row alone
+/// through `engine.infer_into`, and asserts equal bits for every hidden
+/// state, logit and value.
+fn assert_batch_rows_match_single_steps(
+    agent: &RecurrentActorCritic,
+    engine: &InferEngine,
+    obs: &Matrix,
+    hidden: &Matrix,
+) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let label = format!("{} rows, {}", obs.rows(), engine.precision());
+    let mut batched = InferScratch::default();
+    engine.infer_batch_into(agent, obs, hidden, &mut batched);
+    let mut single = InferScratch::default();
+    for row in 0..obs.rows() {
+        let h_row = Matrix::row_vector(hidden.row(row));
+        engine.infer_into(agent, obs.row(row), &h_row, &mut single);
+        assert_eq!(
+            bits(batched.hidden.row(row)),
+            bits(single.hidden.row(0)),
+            "{label}: hidden row {row}"
+        );
+        assert_eq!(
+            bits(batched.logits.row(row)),
+            bits(single.logits.row(0)),
+            "{label}: logits row {row}"
+        );
+        assert_eq!(
+            batched.values[(row, 0)].to_bits(),
+            single.values[(0, 0)].to_bits(),
+            "{label}: value row {row}"
+        );
+    }
+}
+
+/// The engine's multi-row batch path ≡ one `infer_into` per row, bit for
+/// bit, in both precisions, for every row count below the blocked-GEMM
+/// cutoff — at paper width, where every gate panel is 64 wide and takes
+/// the multi-row kernels, and at a narrow width made of 16/8/tail panels.
+#[test]
+fn infer_engine_batch_rows_match_single_steps_in_both_precisions() {
+    for (obs_dim, hidden_dim, actions) in [(35, 128, 7), (5, 24, 3)] {
+        let agent = RecurrentActorCritic::new(obs_dim, hidden_dim, actions, 41);
+        for precision in lahd_rl::Precision::ALL {
+            let engine = InferEngine::with_precision(&agent, precision);
+            for batch in 1..lahd_tensor::gemm::BLOCK_MIN_ROWS {
+                let obs = Matrix::from_fn(batch, obs_dim, |i, j| {
+                    ((i * 13 + j * 7) as f32 * 0.11).sin() * 1.5
+                });
+                let hidden = Matrix::from_fn(batch, hidden_dim, |i, j| {
+                    ((i * 5 + j * 3) as f32 * 0.07).cos() * 0.8
+                });
+                assert_batch_rows_match_single_steps(&agent, &engine, &obs, &hidden);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random observations and hidden states at paper width, random row
+    /// counts: batched rows ≡ single steps in both precisions.
+    #[test]
+    fn infer_engine_batch_rows_match_single_steps_on_random_inputs(
+        (batch, data) in (1usize..lahd_tensor::gemm::BLOCK_MIN_ROWS).prop_flat_map(|b| {
+            (Just(b), proptest::collection::vec(-2.0f32..2.0, b * (35 + 128)))
+        }),
+    ) {
+        let agent = RecurrentActorCritic::new(35, 128, 7, 5);
+        let obs = Matrix::from_vec(batch, 35, data[..batch * 35].to_vec());
+        let hidden = Matrix::from_vec(batch, 128, data[batch * 35..].to_vec());
+        for precision in lahd_rl::Precision::ALL {
+            let engine = InferEngine::with_precision(&agent, precision);
+            assert_batch_rows_match_single_steps(&agent, &engine, &obs, &hidden);
+        }
+    }
+}

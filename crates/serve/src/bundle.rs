@@ -226,12 +226,13 @@ impl ServeBundle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lahd_core::Pipeline;
     use std::sync::OnceLock;
 
-    fn tiny() -> &'static (PipelineConfig, std::path::PathBuf) {
+    /// The tiny pipeline's artifacts, trained once per test binary.
+    pub(crate) fn tiny() -> &'static (PipelineConfig, std::path::PathBuf) {
         static ARTIFACTS: OnceLock<(PipelineConfig, std::path::PathBuf)> = OnceLock::new();
         ARTIFACTS.get_or_init(|| {
             let cfg = PipelineConfig::tiny();

@@ -47,6 +47,13 @@ impl ServeClient {
         }
     }
 
+    /// Bounds how long [`ServeClient::recv`] waits for a reply (`None`
+    /// waits forever, the default); a reply that does not arrive in time
+    /// is a `WouldBlock`/`TimedOut` error instead of a hang.
+    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
     /// Sends one request without waiting for anything.
     pub fn send(&mut self, req: &Request) -> std::io::Result<()> {
         write_frame(&mut self.writer, &req.encode())

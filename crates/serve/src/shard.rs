@@ -34,13 +34,28 @@
 //! the daemon's write timeout.
 //!
 //! Batches are capped *below* the blocked-GEMM row cutoff, where the
-//! packed layers run one GEMV per row (the FSM evaluator chunks its
-//! encode the same way internally) — so an action never depends on which
-//! other streams happened to share its batch, and chaos summaries stay
+//! packed layers run multi-row GEMV kernels whose every row is
+//! bit-identical to a one-row call (the FSM evaluator chunks its encode the
+//! same way internally) — so an action never depends on which other
+//! streams happened to share its batch, and chaos summaries stay
 //! bit-reproducible. Only a stream's first request in a drain joins a
 //! batched lane; its repeats take the scalar path in arrival order, so each
 //! steps from the state its predecessor left. Membership is a `contains`
 //! over the at most [`BATCH_MAX`] keys seen so far in the drain.
+//!
+//! A resident stream's guard closes a shadow window every eighth decision
+//! and replays it through the rungs that did not serve. The shard does
+//! that replay for all the first-in-drain rows whose windows close in the
+//! drain at once, before any lane serves: per window step, one
+//! `step_batch` for the FSM rung and one `infer_batch_into` per net rung
+//! over the rows that rung does not serve. The guards take the staged
+//! actions through [`GuardedPolicy::record_replayed`] (the same
+//! compare-and-evaluate step as their own replay) and replay only the
+//! last-resort rung themselves. Streams on the last-resort tier, which
+//! take the scalar lane, are replayed with the rest.
+//!
+//! A request whose observation has the wrong width or any non-finite
+//! value is answered with [`Response::Err`] before its stream is touched.
 //!
 //! Robustness: the worker body runs under `catch_unwind`; a panic (a bug,
 //! or an injected [`ShardMsg::Crash`]) is counted, the thread restarts
@@ -82,8 +97,8 @@ use crate::protocol::{push_frame, Response, Source};
 use crate::stream_table::{StreamRef, StreamTable};
 
 /// Maximum requests a shard drains into one batch. Strictly below the
-/// blocked-GEMM row cutoff, so every batch stays on the per-row GEMV path
-/// and batching never changes a row's result.
+/// blocked-GEMM row cutoff, so every batch stays on the multi-row GEMV
+/// path and batching never changes a row's result.
 pub const BATCH_MAX: usize = 12;
 const _: () = assert!(BATCH_MAX < lahd_tensor::gemm::BLOCK_MIN_ROWS);
 
@@ -261,6 +276,52 @@ enum StreamEntry {
     Resident(Box<ResidentStream>),
 }
 
+/// The resident ladder behind a handle the caller routed as resident.
+fn resident(streams: &StreamTable<StreamEntry>, r: StreamRef) -> &ResidentStream {
+    match streams.get(r) {
+        Some(StreamEntry::Resident(resident)) => resident,
+        _ => unreachable!("replay rows are resident streams"),
+    }
+}
+
+/// Rungs the shard replays itself: the FSM and both nets. The
+/// last-resort rung is left to each guard's own replay.
+const REPLAY_RUNGS: usize = 3;
+
+/// Shard-owned staging for one drain's batched shadow replay (see
+/// [`ShardState::replay_windows`]): the replayed rows and their actions,
+/// plus reusable per-step buffers.
+#[derive(Default)]
+struct ReplayStaging {
+    /// Live-batch index of each replayed row.
+    rows: Vec<usize>,
+    /// Window length shared by every row (all of a shard's guards run one
+    /// configuration): the buffered observations plus the closing one.
+    width: usize,
+    /// `[row][rung][step]` actions, flattened.
+    actions: Vec<usize>,
+    /// Rows (indices into `rows`) that step the current rung.
+    members: Vec<usize>,
+    obs: Matrix,
+    hidden: Matrix,
+    states: Vec<u16>,
+    outcomes: Vec<StepOutcome>,
+}
+
+impl ReplayStaging {
+    /// The replayed window actions for live-batch row `i`, one entry per
+    /// replayed rung: `None` for the serving rung, and for every rung
+    /// when the row was not replayed.
+    fn handed(&self, i: usize, active: usize) -> [Option<&[usize]>; REPLAY_RUNGS] {
+        let row = self.rows.iter().position(|&j| j == i);
+        std::array::from_fn(|rung| {
+            let row = row.filter(|_| rung != active)?;
+            let at = (row * REPLAY_RUNGS + rung) * self.width;
+            Some(&self.actions[at..at + self.width])
+        })
+    }
+}
+
 /// Builds a full ladder; `cursor` seeds the FSM tier mid-run when a
 /// compact stream materializes (so rung 0 continues the same trajectory).
 fn make_resident(
@@ -354,6 +415,8 @@ struct ShardState {
     /// streams (the scenario baseline, same policy as [`TIER_BASELINE`]).
     fallback: Box<dyn VecPolicy>,
     batch_scratch: InferScratch,
+    /// Staging for the batched shadow replay of windows closing in a drain.
+    replay: ReplayStaging,
     /// SoA staging for the batched FSM tier (`None` when the bundle's
     /// machine didn't lower), plus reusable per-batch buffers.
     fsm_scratch: Option<BatchScratch>,
@@ -415,6 +478,7 @@ impl ShardState {
             arena: HibernationArena::new(MAX_HIBERNATED),
             fallback,
             batch_scratch: InferScratch::default(),
+            replay: ReplayStaging::default(),
             fsm_scratch,
             fsm_scalar,
             fsm_states: Vec::new(),
@@ -643,6 +707,7 @@ impl ShardState {
     fn serve_fsm_row(
         &mut self,
         shared: &SharedState,
+        i: usize,
         req: &DecideReq,
         r: StreamRef,
         outcome: StepOutcome,
@@ -700,7 +765,8 @@ impl ShardState {
                     .borrow_mut()
                     .cursor
                     .apply(outcome);
-                resident.guard.record_served(&req.obs, action);
+                let handed = self.replay.handed(i, TIER_FSM);
+                resident.guard.record_replayed(&req.obs, action, &handed);
                 resident.decisions += 1;
                 resident.resident_decisions += 1;
                 resident.last_tick = tick;
@@ -719,13 +785,16 @@ impl ShardState {
         }
     }
 
-    /// Serves one drained batch. Compact streams and resident FSM-tier
-    /// streams share one SoA `step_batch` call; resident net-tier streams
-    /// go through one batched inference call per tier; everything else
-    /// (demoted tiers, repeat requests for a stream already in the batch,
-    /// expired deadlines) takes the scalar path, in arrival order per
-    /// stream. Replies are staged and written only after the batch's counts
-    /// are folded into the shard's stats slot.
+    /// Serves one drained batch. Resident streams whose guard window
+    /// closes with their first request in the drain first replay that
+    /// window together ([`ShardState::replay_windows`]). Then compact
+    /// streams and resident FSM-tier streams share one SoA `step_batch`
+    /// call; resident net-tier streams go through one batched inference
+    /// call per tier; everything else (the last-resort tier, repeat
+    /// requests for a stream already in the batch, expired deadlines) takes
+    /// the scalar path, in arrival order per stream. Replies are staged and
+    /// written only after the batch's counts are folded into the shard's
+    /// stats slot.
     fn process_batch(&mut self, shared: &SharedState, batch: Vec<DecideReq>) {
         let now = Instant::now();
         let obs_dim = self.bundle.obs_dim();
@@ -740,6 +809,14 @@ impl ShardState {
                         "observation width {} does not match bundle {obs_dim}",
                         req.obs.len()
                     )),
+                    served: None,
+                });
+                continue;
+            }
+            if req.obs.iter().any(|v| !v.is_finite()) {
+                self.replies.push(Reply {
+                    to: req.reply.clone(),
+                    resp: Response::Err("observation holds a non-finite value".to_string()),
                     served: None,
                 });
                 continue;
@@ -770,6 +847,7 @@ impl ShardState {
         let mut fsm_rows: Vec<(usize, StreamRef)> = Vec::new();
         let mut net_batches: [Vec<(usize, StreamRef)>; 2] = [Vec::new(), Vec::new()];
         let mut scalar: Vec<(usize, StreamRef)> = Vec::new();
+        let mut replay_rows: Vec<(usize, StreamRef, &[f32])> = Vec::new();
         for (i, req) in live.iter().enumerate() {
             let Some(r) = self.admit(shared, req.stream) else {
                 let action = self.fallback.act_vec(&req.obs) as u16;
@@ -800,6 +878,13 @@ impl ShardState {
                 }
                 StreamEntry::Resident(resident) => {
                     let tier = resident.guard.active_tier();
+                    if first
+                        && fsm_batchable
+                        && resident.fsm_cell.is_some()
+                        && resident.guard.closes_window_next()
+                    {
+                        replay_rows.push((i, r, &req.obs));
+                    }
                     if tier == TIER_FSM && first && fsm_batchable && resident.fsm_cell.is_some() {
                         fsm_rows.push((i, r));
                     } else if (tier == TIER_QUANT || tier == TIER_EXACT) && first {
@@ -810,6 +895,8 @@ impl ShardState {
                 }
             }
         }
+
+        self.replay_windows(&replay_rows);
 
         // Batched FSM tier: one SoA step_batch call over all FSM-tier
         // rows — compact and resident mixed, each row against its own
@@ -848,7 +935,7 @@ impl ShardState {
             );
             for (row, &(i, r)) in fsm_rows.iter().enumerate() {
                 let outcome = self.fsm_outcomes[row];
-                self.serve_fsm_row(shared, &live[i], r, outcome);
+                self.serve_fsm_row(shared, i, &live[i], r, outcome);
             }
         }
 
@@ -891,7 +978,8 @@ impl ShardState {
                     .hidden
                     .row_mut(0)
                     .copy_from_slice(self.batch_scratch.hidden.row(row));
-                resident.guard.record_served(&req.obs, action);
+                let handed = self.replay.handed(i, tier);
+                resident.guard.record_replayed(&req.obs, action, &handed);
                 resident.decisions += 1;
                 resident.resident_decisions += 1;
                 resident.last_tick = tick;
@@ -930,14 +1018,17 @@ impl ShardState {
                     .as_mut()
                     .expect("compact entries only exist with a scalar scratch");
                 let outcome = compiled.step(&req.obs, state, scratch);
-                self.serve_fsm_row(shared, req, r, outcome);
+                self.serve_fsm_row(shared, i, req, r, outcome);
                 continue;
             }
             let Some(StreamEntry::Resident(resident)) = self.streams.get_mut(r) else {
                 continue;
             };
             let tier = resident.guard.active_tier();
-            let action = resident.guard.act_vec(&req.obs) as u16;
+            let action = resident
+                .guard
+                .act_replayed(&req.obs, &self.replay.handed(i, tier))
+                as u16;
             resident.decisions += 1;
             resident.resident_decisions += 1;
             resident.last_tick = tick;
@@ -957,6 +1048,122 @@ impl ShardState {
         }
 
         self.finish_replies(shared);
+    }
+
+    /// Replays, all rows together, the guard windows that close with these
+    /// rows' decisions, given as `(live-batch index, handle, closing
+    /// observation)`: for each window step, one `step_batch` for the FSM
+    /// rung and one multi-row `infer_batch_into` per net rung, each over the
+    /// rows that rung does not serve. The window is the guard's buffered
+    /// observations followed by the closing one; the serving tier does not
+    /// read the other rungs' state, so stepping them before it serves
+    /// changes nothing. The actions are staged for the guards'
+    /// `record_replayed`, which leaves each guard exactly where its own
+    /// scalar replay would (batched FSM steps and below-cutoff net batches
+    /// are bit-identical per row), and the last-resort rung to each guard.
+    fn replay_windows(&mut self, rows: &[(usize, StreamRef, &[f32])]) {
+        let Self {
+            bundle,
+            streams,
+            replay,
+            fsm_scratch,
+            batch_scratch,
+            ..
+        } = self;
+        replay.rows.clear();
+        let Some(&(_, first, _)) = rows.first() else {
+            return;
+        };
+        let width = resident(streams, first).guard.window().len() + 1;
+        for &(i, r, _) in rows {
+            assert_eq!(
+                resident(streams, r).guard.window().len() + 1,
+                width,
+                "a shard's guards share one window length"
+            );
+            replay.rows.push(i);
+        }
+        replay.width = width;
+        replay.actions.clear();
+        replay.actions.resize(rows.len() * REPLAY_RUNGS * width, 0);
+        let obs_at = |row: usize, s: usize| -> &[f32] {
+            let (_, r, closing) = rows[row];
+            resident(streams, r)
+                .guard
+                .window()
+                .nth(s)
+                .unwrap_or(closing)
+        };
+        let compiled = bundle
+            .compiled
+            .as_ref()
+            .expect("replay rows only routed when the machine lowered");
+        let scratch = fsm_scratch
+            .as_mut()
+            .expect("replay rows only routed with a batch scratch");
+        let agent = &bundle.artifacts.agent;
+        for s in 0..width {
+            for rung in 0..REPLAY_RUNGS {
+                replay.members.clear();
+                for (row, &(_, r, _)) in rows.iter().enumerate() {
+                    if resident(streams, r).guard.active_tier() != rung {
+                        replay.members.push(row);
+                    }
+                }
+                let members = replay.members.len();
+                if members == 0 {
+                    continue;
+                }
+                if rung == TIER_FSM {
+                    replay.states.clear();
+                    for &row in &replay.members {
+                        let cell = resident(streams, rows[row].1).fsm_cell.as_ref();
+                        let cell = cell.expect("replay rows carry an FSM cell");
+                        replay.states.push(cell.borrow().cursor.state());
+                    }
+                    replay.outcomes.clear();
+                    compiled.step_batch(
+                        replay.members.iter().map(|&row| obs_at(row, s)),
+                        &replay.states,
+                        scratch,
+                        &mut replay.outcomes,
+                    );
+                    for (m, &row) in replay.members.iter().enumerate() {
+                        let cell = resident(streams, rows[row].1).fsm_cell.as_ref();
+                        let mut cell = cell.expect("replay rows carry an FSM cell").borrow_mut();
+                        let action = cell.cursor.apply(replay.outcomes[m]);
+                        replay.actions[(row * REPLAY_RUNGS + rung) * width + s] = action;
+                    }
+                    continue;
+                }
+                let which = rung - TIER_QUANT;
+                if replay.obs.shape() != (members, agent.obs_dim()) {
+                    replay.obs.reshape_zeroed(members, agent.obs_dim());
+                }
+                if replay.hidden.shape() != (members, agent.hidden_dim()) {
+                    replay.hidden.reshape_zeroed(members, agent.hidden_dim());
+                }
+                for (m, &row) in replay.members.iter().enumerate() {
+                    replay.obs.row_mut(m).copy_from_slice(obs_at(row, s));
+                    let cell = resident(streams, rows[row].1).cells[which].borrow();
+                    replay.hidden.row_mut(m).copy_from_slice(cell.hidden.row(0));
+                }
+                let engine = if rung == TIER_QUANT {
+                    &bundle.quant
+                } else {
+                    &bundle.exact
+                };
+                engine.infer_batch_into(agent, &replay.obs, &replay.hidden, batch_scratch);
+                for (m, &row) in replay.members.iter().enumerate() {
+                    let mut cell = resident(streams, rows[row].1).cells[which].borrow_mut();
+                    cell.hidden
+                        .row_mut(0)
+                        .copy_from_slice(batch_scratch.hidden.row(m));
+                    replay.actions[(row * REPLAY_RUNGS + rung) * width + s] =
+                        batch_scratch.logits.argmax_row(m);
+                }
+            }
+        }
     }
 
     /// Records latencies, folds the batch's counts into the stats slot, and
@@ -1238,6 +1445,132 @@ fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
                 std::thread::sleep(Duration::from_millis(ms as u64));
             }
             Some(ShardMsg::Decide { .. }) | None => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::ServeConfig;
+    use crate::metrics::ServeMetrics;
+    use lahd_guard::BaselineProfile;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Mutex;
+
+    fn shared() -> SharedState {
+        let (cfg, dir) = crate::bundle::tests::tiny();
+        let bundle = ServeBundle::load(cfg, dir).expect("tiny artifacts serve");
+        SharedState {
+            cfg: ServeConfig::default(),
+            pipeline_cfg: cfg.clone(),
+            bundle: Mutex::new(Arc::new(bundle)),
+            generation: AtomicU64::new(0),
+            metrics: ServeMetrics::default(),
+            stats: vec![Mutex::new(ShardStats::default())],
+            shutdown: AtomicBool::new(false),
+            recover_shards: Vec::new(),
+        }
+    }
+
+    /// Observations spread `spread` interquartile ranges around each
+    /// dimension's band: wide enough that the tiny nets answer several
+    /// actions and the guards walk down the ladder, at a pace set by
+    /// `spread`.
+    fn obs(profile: &BaselineProfile, stream: u64, step: usize, spread: f64) -> Vec<f32> {
+        profile
+            .dims
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let frac = ((step * 3 + i * 7 + stream as usize * 5) % 10) as f64 / 10.0;
+                let iqr = d.p75 - d.p25;
+                (d.p25 + iqr * frac + (iqr + 0.1) * (frac - 0.5) * 2.0 * spread) as f32
+            })
+            .collect()
+    }
+
+    /// The shard's batched window replay must leave every guard exactly
+    /// where the guard's own scalar replay leaves an identical ladder: same
+    /// served actions, tiers, comparisons and transitions, step by step,
+    /// with rows at different serving tiers sharing each replay.
+    #[test]
+    fn batched_window_replay_matches_each_guards_own_replay() {
+        let shared = shared();
+        let mut shard = ShardState::fresh(0, &shared);
+        let bundle = shard.bundle.clone();
+        let spreads = [2.0, 4.0, 6.0, 8.0, 12.0, 3.0];
+        let mut own: Vec<ResidentStream> = (0..spreads.len() as u64)
+            .map(|k| make_resident(&bundle, k, None))
+            .collect();
+        let handles: Vec<StreamRef> = (0..spreads.len() as u64)
+            .map(|k| {
+                let ladder = make_resident(&bundle, k, None);
+                shard
+                    .streams
+                    .insert(k, StreamEntry::Resident(Box::new(ladder)))
+            })
+            .collect();
+        let mut tiers_replayed = [false; TIER_BASELINE + 1];
+        let mut widest = 0;
+        for step in 0..400 {
+            let step_obs: Vec<Vec<f32>> = (0..spreads.len())
+                .map(|k| obs(&bundle.baseline, k as u64, step, spreads[k]))
+                .collect();
+            let closing: Vec<(usize, StreamRef, &[f32])> = handles
+                .iter()
+                .enumerate()
+                .filter(|&(_, &r)| resident(&shard.streams, r).guard.closes_window_next())
+                .map(|(k, &r)| (k, r, step_obs[k].as_slice()))
+                .collect();
+            widest = widest.max(closing.len());
+            shard.replay_windows(&closing);
+            for (k, o) in step_obs.iter().enumerate() {
+                let want = own[k].guard.act_vec(o);
+                let Some(StreamEntry::Resident(batched)) = shard.streams.get_mut(handles[k]) else {
+                    unreachable!("the test only inserts resident streams");
+                };
+                let tier = batched.guard.active_tier();
+                if closing.iter().any(|&(i, _, _)| i == k) {
+                    tiers_replayed[tier] = true;
+                }
+                let got = batched.guard.act_replayed(o, &shard.replay.handed(k, tier));
+                assert_eq!(got, want, "stream {k}, step {step}: served action");
+                assert_eq!(
+                    batched.guard.active_tier(),
+                    own[k].guard.active_tier(),
+                    "stream {k}, step {step}: serving tier"
+                );
+            }
+        }
+        assert_eq!(
+            widest,
+            spreads.len(),
+            "every window closed in one shared replay"
+        );
+        assert!(
+            tiers_replayed.iter().all(|&t| t),
+            "replays should cover rows serving from every tier: {tiers_replayed:?}"
+        );
+        for (k, reference) in own.iter_mut().enumerate() {
+            let Some(StreamEntry::Resident(batched)) = shard.streams.get_mut(handles[k]) else {
+                unreachable!("the test only inserts resident streams");
+            };
+            let (a, b) = (reference.guard.snapshot(), batched.guard.snapshot());
+            assert_eq!(a.tier_steps, b.tier_steps, "stream {k}");
+            assert_eq!(
+                (a.compared, a.diverged),
+                (b.compared, b.diverged),
+                "stream {k}"
+            );
+            assert_eq!(a.samples, b.samples, "stream {k}");
+            let steps = |s: &lahd_guard::GuardSnapshot| -> Vec<_> {
+                s.transitions
+                    .iter()
+                    .map(|t| (t.step, t.from_tier, t.to_tier, t.reason))
+                    .collect()
+            };
+            assert_eq!(steps(&a), steps(&b), "stream {k}");
         }
     }
 }

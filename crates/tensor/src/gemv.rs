@@ -23,6 +23,12 @@
 //! the intended pattern is pack at load (or after each optimiser step via
 //! `repack*`) and reuse across every decision in between.
 //!
+//! A handful of rows through the same weights (a shard's batch of
+//! streams, a few environments) run [`PackedGemvWeights::gemv_rows_into`]:
+//! on AVX-512 machines its kernels keep one accumulator tile per row and
+//! load each weight of a 16/32/64-wide panel once for all rows below
+//! [`BLOCK_MIN_ROWS`], instead of streaming the panel once per row.
+//!
 //! Several same-height matrices can be packed side by side with
 //! [`PackedGemvWeights::pack_concat`]; one [`PackedGemvWeights::gemv_into`]
 //! call then computes all their products in a single traversal. The GRU
@@ -43,7 +49,11 @@
 //! dot-product layout was rejected for exactly this reason: fast dot
 //! kernels need lane-split accumulators, which reorder the reduction and
 //! break the bit-identity the train-then-infer equivalence tests rely on.
+//! The multi-row kernels perform the same per-element fold, so each row of
+//! a `gemv_rows_into` is bit-identical to one `gemv_into` on that row
+//! (`tests/gemv_rows_equivalence.rs`).
 
+use crate::gemm::BLOCK_MIN_ROWS;
 use crate::matrix::Matrix;
 
 /// Widest panel (and register tile) the kernels use: 64 columns = 8 AVX2
@@ -211,26 +221,79 @@ impl PackedGemvWeights {
                 continue;
             }
             let panel = &self.data[p.data_off..p.data_off + self.k * p.width];
-            let out = &mut y[p.col..p.col + p.width];
-            // Every width is monomorphised: a runtime-bounded inner loop
-            // would stop the compiler from keeping the accumulators in
-            // registers, which is the whole point of the layout.
-            match p.width {
-                64 => panel_kernel::<64>(x, panel, out),
-                32 => panel_kernel::<32>(x, panel, out),
-                16 => panel_kernel::<16>(x, panel, out),
-                8 => panel_kernel::<8>(x, panel, out),
-                7 => panel_scalar::<7>(x, panel, out),
-                6 => panel_scalar::<6>(x, panel, out),
-                5 => panel_scalar::<5>(x, panel, out),
-                4 => panel_scalar::<4>(x, panel, out),
-                3 => panel_scalar::<3>(x, panel, out),
-                2 => panel_scalar::<2>(x, panel, out),
-                1 => panel_scalar::<1>(x, panel, out),
-                w => unreachable!("panel decomposition produced width {w}"),
-            }
+            panel_into(p.width, x, panel, &mut y[p.col..p.col + p.width]);
             i += 1;
         }
+    }
+
+    /// `y_r = x_r · W` for each of `rows` rows, overwriting `y`: `x` is
+    /// `rows × K` and `y` is `rows × N`, both row-major.
+    ///
+    /// On AVX-512 machines each weight of a 16/32/64-wide panel is loaded
+    /// once per block of up to `BLOCK_MIN_ROWS - 1` rows; one row, narrower
+    /// panels and other machines run the single-row kernels row by row.
+    /// Either way each element is the same ascending-`k` fold, so every
+    /// output row is bit-identical to one [`PackedGemvWeights::gemv_into`]
+    /// on that row.
+    ///
+    /// # Panics
+    /// Panics unless `x.len() == rows · rows()` and
+    /// `y.len() == rows · cols()`.
+    pub fn gemv_rows_into(&self, rows: usize, x: &[f32], y: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        assert_eq!(x.len(), rows * k, "gemv input shape mismatch");
+        assert_eq!(y.len(), rows * n, "gemv output shape mismatch");
+        let mut r0 = 0;
+        while r0 < rows {
+            let block = (rows - r0).min(BLOCK_MIN_ROWS - 1);
+            let xb = &x[r0 * k..(r0 + block) * k];
+            let yb = &mut y[r0 * n..(r0 + block) * n];
+            if block == 1 {
+                self.gemv_into(xb, yb);
+            } else {
+                self.block_into(block, xb, yb);
+            }
+            r0 += block;
+        }
+    }
+
+    /// One block of `2..BLOCK_MIN_ROWS` rows, panel by panel.
+    fn block_into(&self, rows: usize, x: &[f32], y: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        for p in &self.panels {
+            let panel = &self.data[p.data_off..p.data_off + k * p.width];
+            #[cfg(target_arch = "x86_64")]
+            if p.width >= 16 && wide::available() {
+                wide::panel_rows(rows, x, panel, p.width, &mut y[p.col..], n);
+                continue;
+            }
+            for r in 0..rows {
+                let out = &mut y[r * n + p.col..r * n + p.col + p.width];
+                panel_into(p.width, &x[r * k..(r + 1) * k], panel, out);
+            }
+        }
+    }
+}
+
+/// One panel's single-row product into its `width` output columns. Every
+/// width is monomorphised: a runtime-bounded inner loop would stop the
+/// compiler from keeping the accumulators in registers, which is the whole
+/// point of the layout.
+#[inline]
+fn panel_into(width: usize, x: &[f32], panel: &[f32], out: &mut [f32]) {
+    match width {
+        64 => panel_kernel::<64>(x, panel, out),
+        32 => panel_kernel::<32>(x, panel, out),
+        16 => panel_kernel::<16>(x, panel, out),
+        8 => panel_kernel::<8>(x, panel, out),
+        7 => panel_scalar::<7>(x, panel, out),
+        6 => panel_scalar::<6>(x, panel, out),
+        5 => panel_scalar::<5>(x, panel, out),
+        4 => panel_scalar::<4>(x, panel, out),
+        3 => panel_scalar::<3>(x, panel, out),
+        2 => panel_scalar::<2>(x, panel, out),
+        1 => panel_scalar::<1>(x, panel, out),
+        w => unreachable!("panel decomposition produced width {w}"),
     }
 }
 
@@ -348,6 +411,111 @@ mod wide {
         for l in 0..4 {
             _mm512_storeu_ps(ya.as_mut_ptr().add(l * 16), acc_a[l]);
             _mm512_storeu_ps(yb.as_mut_ptr().add(l * 16), acc_b[l]);
+        }
+    }
+
+    /// Safe wrapper for the multi-row kernels: `rows` rows of `x`
+    /// (`rows × k`, with `k = panel.len() / width`) through one `width`-wide
+    /// panel into `y`, whose row `r` starts at `r · n` (the caller offsets
+    /// `y` to the panel's first column).
+    ///
+    /// The panel is cut into column strips of 16·L; a strip's `R × L`
+    /// accumulators stay in registers across the whole `k` loop, so each
+    /// weight is loaded once for every row. `L` shrinks as rows grow so the
+    /// tile fits the 32 vector registers while keeping at least eight
+    /// independent add chains in flight.
+    pub(super) fn panel_rows(
+        rows: usize,
+        x: &[f32],
+        panel: &[f32],
+        width: usize,
+        y: &mut [f32],
+        n: usize,
+    ) {
+        let k = panel.len() / width;
+        assert!(
+            matches!(width, 16 | 32 | 64),
+            "unsupported wide panel width {width}"
+        );
+        assert!(
+            (2..super::BLOCK_MIN_ROWS).contains(&rows),
+            "row block out of range"
+        );
+        assert_eq!(x.len(), rows * k, "multi-row input shape mismatch");
+        assert!(
+            y.len() >= (rows - 1) * n + width,
+            "multi-row output too short"
+        );
+        debug_assert!(available());
+        let strips = if rows <= 5 {
+            4
+        } else if rows <= 10 {
+            2
+        } else {
+            1
+        };
+        let l = strips.min(width / 16);
+        let (x, p, y) = (x.as_ptr(), panel.as_ptr(), y.as_mut_ptr());
+        macro_rules! dispatch {
+            ($l:literal; $($r:literal)*) => {
+                match rows {
+                    $($r => rows_512::<$l, $r>(k, x, p, width, y, n),)*
+                    _ => unreachable!("{rows} rows with {} strips", $l),
+                }
+            };
+        }
+        // SAFETY: `available()` gates on runtime avx512f support; the
+        // asserts above bound every input load (`rows · k` floats), every
+        // panel load (`k · width`, strips dividing `width`) and every
+        // output store (row `r` writes `width` floats at `r · n`).
+        unsafe {
+            match l {
+                4 => dispatch!(4; 2 3 4 5),
+                2 => dispatch!(2; 2 3 4 5 6 7 8 9 10),
+                _ => dispatch!(1; 2 3 4 5 6 7 8 9 10 11 12 13 14 15),
+            }
+        }
+    }
+
+    /// `R` rows × one strip of `L` 512-bit columns per pass over `k`: the
+    /// strip's weights are loaded once and feed every row's accumulators,
+    /// with the same `mul` then `add` per element as `panel_512`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F; `x` must hold `R · k` floats, `panel`
+    /// `k · width` floats, and `y` `(R − 1) · n + width` floats; `16 · L`
+    /// must divide `width`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rows_512<const L: usize, const R: usize>(
+        k: usize,
+        x: *const f32,
+        panel: *const f32,
+        width: usize,
+        y: *mut f32,
+        n: usize,
+    ) {
+        let mut s = 0;
+        while s < width {
+            let mut acc = [[_mm512_setzero_ps(); L]; R];
+            for kk in 0..k {
+                let row = panel.add(kk * width + s);
+                let mut w = [_mm512_setzero_ps(); L];
+                for (l, wl) in w.iter_mut().enumerate() {
+                    *wl = _mm512_loadu_ps(row.add(l * 16));
+                }
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let xb = _mm512_set1_ps(*x.add(r * k + kk));
+                    for (a, &wl) in acc_r.iter_mut().zip(&w) {
+                        *a = _mm512_add_ps(*a, _mm512_mul_ps(xb, wl));
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                for (l, a) in acc_r.iter().enumerate() {
+                    _mm512_storeu_ps(y.add(r * n + s + l * 16), *a);
+                }
+            }
+            s += L * 16;
         }
     }
 

@@ -48,7 +48,15 @@
 //! autovectoriser interleaves the widening converts poorly). The scalar
 //! widen loop remains the portable fallback and the kernels' reference
 //! semantics. Results are deterministic for a given binary and machine.
+//!
+//! [`PackedGemvWeightsI8::gemv_rows_into`] runs a handful of rows through
+//! the same weights: on AVX-512 machines each quantized weight of a
+//! 16/32/64-wide panel is loaded and widened once for all rows below
+//! [`BLOCK_MIN_ROWS`], with the same fused multiply-add per element and the
+//! same scale multiply per output as the single-row kernel — so each row is
+//! bit-identical to one `gemv_into` on that row, on the same machine.
 
+use crate::gemm::BLOCK_MIN_ROWS;
 use crate::gemv::panel_width;
 use crate::matrix::Matrix;
 
@@ -220,24 +228,77 @@ impl PackedGemvWeightsI8 {
         assert_eq!(y.len(), self.n, "gemv output width mismatch");
         for p in &self.panels {
             let panel = &self.data[p.data_off..p.data_off + self.k * p.width];
-            let out = &mut y[p.col..p.col + p.width];
-            // Monomorphised widths, like the f32 tier: a runtime-bounded
-            // inner loop would spill the accumulators.
-            match p.width {
-                64 => panel_kernel_i8::<64>(x, panel, p.scale, out),
-                32 => panel_kernel_i8::<32>(x, panel, p.scale, out),
-                16 => panel_kernel_i8::<16>(x, panel, p.scale, out),
-                8 => panel_kernel_i8::<8>(x, panel, p.scale, out),
-                7 => panel_scalar_i8::<7>(x, panel, p.scale, out),
-                6 => panel_scalar_i8::<6>(x, panel, p.scale, out),
-                5 => panel_scalar_i8::<5>(x, panel, p.scale, out),
-                4 => panel_scalar_i8::<4>(x, panel, p.scale, out),
-                3 => panel_scalar_i8::<3>(x, panel, p.scale, out),
-                2 => panel_scalar_i8::<2>(x, panel, p.scale, out),
-                1 => panel_scalar_i8::<1>(x, panel, p.scale, out),
-                w => unreachable!("panel decomposition produced width {w}"),
+            panel_into_i8(p, x, panel, &mut y[p.col..p.col + p.width]);
+        }
+    }
+
+    /// `y_r = x_r · W_q` for each of `rows` rows, overwriting `y`: `x` is
+    /// `rows × K` and `y` is `rows × N`, both row-major.
+    ///
+    /// On AVX-512 machines each quantized weight of a 16/32/64-wide panel
+    /// is loaded and widened once per block of up to `BLOCK_MIN_ROWS - 1`
+    /// rows; one row, narrower panels and other machines run the
+    /// single-row kernels row by row. Every row is bit-identical to one
+    /// [`PackedGemvWeightsI8::gemv_into`] on that row (see the
+    /// [module docs](self)).
+    ///
+    /// # Panics
+    /// Panics unless `x.len() == rows · rows()` and
+    /// `y.len() == rows · cols()`.
+    pub fn gemv_rows_into(&self, rows: usize, x: &[f32], y: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        assert_eq!(x.len(), rows * k, "gemv input shape mismatch");
+        assert_eq!(y.len(), rows * n, "gemv output shape mismatch");
+        let mut r0 = 0;
+        while r0 < rows {
+            let block = (rows - r0).min(BLOCK_MIN_ROWS - 1);
+            let xb = &x[r0 * k..(r0 + block) * k];
+            let yb = &mut y[r0 * n..(r0 + block) * n];
+            if block == 1 {
+                self.gemv_into(xb, yb);
+            } else {
+                self.block_into(block, xb, yb);
+            }
+            r0 += block;
+        }
+    }
+
+    /// One block of `2..BLOCK_MIN_ROWS` rows, panel by panel.
+    fn block_into(&self, rows: usize, x: &[f32], y: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        for p in &self.panels {
+            let panel = &self.data[p.data_off..p.data_off + k * p.width];
+            #[cfg(target_arch = "x86_64")]
+            if p.width >= 16 && widen::wide_rows_available() {
+                widen::panel_rows(rows, x, panel, p.width, p.scale, &mut y[p.col..], n);
+                continue;
+            }
+            for r in 0..rows {
+                let out = &mut y[r * n + p.col..r * n + p.col + p.width];
+                panel_into_i8(p, &x[r * k..(r + 1) * k], panel, out);
             }
         }
+    }
+}
+
+/// One quantized panel's single-row product into its output columns.
+/// Monomorphised widths, like the f32 tier: a runtime-bounded inner loop
+/// would spill the accumulators.
+#[inline]
+fn panel_into_i8(p: &PanelI8, x: &[f32], panel: &[i8], out: &mut [f32]) {
+    match p.width {
+        64 => panel_kernel_i8::<64>(x, panel, p.scale, out),
+        32 => panel_kernel_i8::<32>(x, panel, p.scale, out),
+        16 => panel_kernel_i8::<16>(x, panel, p.scale, out),
+        8 => panel_kernel_i8::<8>(x, panel, p.scale, out),
+        7 => panel_scalar_i8::<7>(x, panel, p.scale, out),
+        6 => panel_scalar_i8::<6>(x, panel, p.scale, out),
+        5 => panel_scalar_i8::<5>(x, panel, p.scale, out),
+        4 => panel_scalar_i8::<4>(x, panel, p.scale, out),
+        3 => panel_scalar_i8::<3>(x, panel, p.scale, out),
+        2 => panel_scalar_i8::<2>(x, panel, p.scale, out),
+        1 => panel_scalar_i8::<1>(x, panel, p.scale, out),
+        w => unreachable!("panel decomposition produced width {w}"),
     }
 }
 
@@ -361,6 +422,118 @@ mod widen {
                 8 => panel_fma::<1>(x, panel, scale, y),
                 _ => unreachable!("unsupported panel width {W}"),
             }
+        }
+    }
+
+    /// Whether the single-row kernel takes its 512-bit path for panels of
+    /// 16 columns and up — exactly when the multi-row kernels may run.
+    pub(super) fn wide_rows_available() -> bool {
+        available() && wide_available()
+    }
+
+    /// Safe wrapper for the multi-row kernels: `rows` rows of `x`
+    /// (`rows × k`, with `k = panel.len() / width`) through one quantized
+    /// `width`-wide panel into `y`, whose row `r` starts at `r · n` (the
+    /// caller offsets `y` to the panel's first column). Strips of 16·L
+    /// columns keep `R × L` accumulators in registers, as in the f32 tier;
+    /// each weight vector is widened once and feeds every row.
+    pub(super) fn panel_rows(
+        rows: usize,
+        x: &[f32],
+        panel: &[i8],
+        width: usize,
+        scale: f32,
+        y: &mut [f32],
+        n: usize,
+    ) {
+        let k = panel.len() / width;
+        assert!(
+            matches!(width, 16 | 32 | 64),
+            "unsupported wide panel width {width}"
+        );
+        assert!(
+            (2..super::BLOCK_MIN_ROWS).contains(&rows),
+            "row block out of range"
+        );
+        assert_eq!(x.len(), rows * k, "multi-row input shape mismatch");
+        assert!(
+            y.len() >= (rows - 1) * n + width,
+            "multi-row output too short"
+        );
+        debug_assert!(wide_rows_available());
+        let strips = if rows <= 5 {
+            4
+        } else if rows <= 10 {
+            2
+        } else {
+            1
+        };
+        let l = strips.min(width / 16);
+        let (x, p, y) = (x.as_ptr(), panel.as_ptr(), y.as_mut_ptr());
+        macro_rules! dispatch {
+            ($l:literal; $($r:literal)*) => {
+                match rows {
+                    $($r => rows_512::<$l, $r>(k, x, p, width, scale, y, n),)*
+                    _ => unreachable!("{rows} rows with {} strips", $l),
+                }
+            };
+        }
+        // SAFETY: `wide_rows_available()` gates on runtime avx2, fma and
+        // avx512f support; the asserts above bound every input load
+        // (`rows · k` floats), every panel load (`k · width` bytes, strips
+        // dividing `width`) and every output store (row `r` writes `width`
+        // floats at `r · n`).
+        unsafe {
+            match l {
+                4 => dispatch!(4; 2 3 4 5),
+                2 => dispatch!(2; 2 3 4 5 6 7 8 9 10),
+                _ => dispatch!(1; 2 3 4 5 6 7 8 9 10 11 12 13 14 15),
+            }
+        }
+    }
+
+    /// `R` rows × one strip of `L` 512-bit columns per pass over `k`:
+    /// the same widen, FMA and final scale multiply per element as
+    /// `panel_512`, with each widened weight vector shared by every row.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F; `x` must hold `R · k` floats, `panel`
+    /// `k · width` bytes, and `y` `(R − 1) · n + width` floats; `16 · L`
+    /// must divide `width`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rows_512<const L: usize, const R: usize>(
+        k: usize,
+        x: *const f32,
+        panel: *const i8,
+        width: usize,
+        scale: f32,
+        y: *mut f32,
+        n: usize,
+    ) {
+        let s_v = _mm512_set1_ps(scale);
+        let mut s = 0;
+        while s < width {
+            let mut acc = [[_mm512_setzero_ps(); L]; R];
+            for kk in 0..k {
+                let row = panel.add(kk * width + s);
+                let mut w = [_mm512_setzero_ps(); L];
+                for (l, wl) in w.iter_mut().enumerate() {
+                    let q = _mm_loadu_si128(row.add(l * 16).cast::<__m128i>());
+                    *wl = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(q));
+                }
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let xb = _mm512_set1_ps(*x.add(r * k + kk));
+                    for (a, &wl) in acc_r.iter_mut().zip(&w) {
+                        *a = _mm512_fmadd_ps(xb, wl, *a);
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                for (l, a) in acc_r.iter().enumerate() {
+                    _mm512_storeu_ps(y.add(r * n + s + l * 16), _mm512_mul_ps(*a, s_v));
+                }
+            }
+            s += L * 16;
         }
     }
 

@@ -12,7 +12,8 @@
 //! [`gemm`]. Repeated `1×K` inference products should pack their weights
 //! once into [`gemv::PackedGemvWeights`], whose column-panel kernels keep
 //! the accumulators in registers for the whole reduction (bit-identical to
-//! `matmul_into`). Every orientation has an `_into`/`_acc` variant writing
+//! `matmul_into`); a few rows through the same weights run its multi-row
+//! product, which loads each weight once for all of them. Every orientation has an `_into`/`_acc` variant writing
 //! into caller-owned scratch, and `transpose` walks 32×32 cache blocks. For
 //! decision paths that can trade bit-identity for latency,
 //! [`gemv_i8::PackedGemvWeightsI8`] packs the same column panels as

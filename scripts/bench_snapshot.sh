@@ -40,6 +40,7 @@ LAHD_BENCH_QUICK=1 LAHD_BENCH_JSON="$tmp" cargo bench -p lahd-bench \
     --bench micro_matmul \
     --bench micro_gemv_i8 \
     --bench micro_inference_latency \
+    --bench micro_guard \
     --bench micro_fsm_step \
     --bench micro_serve_protocol \
     --bench micro_persist \
