@@ -14,7 +14,7 @@
 //!   its health evaluation amortised over the window's decisions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lahd_core::{build_ladder, resolve_baseline, PipelineConfig, SHADOW_TIER};
+use lahd_core::{build_ladder, resolve_baseline, SHADOW_TIER};
 use lahd_fsm::VecPolicy;
 use lahd_guard::{BaselineProfile, DriftDetector, GuardConfig, GuardedPolicy, StreamingProfile};
 use lahd_sim::Observation;
@@ -39,20 +39,6 @@ fn drifted(profile: &BaselineProfile, i: usize) -> Vec<f32> {
         .collect()
 }
 
-/// The short-budget paper-width pipeline (GRU-128, latents 12/64): the
-/// serving benchmark's artifacts, cached across harness runs.
-fn paper_short_budget() -> PipelineConfig {
-    let mut cfg = PipelineConfig::paper();
-    cfg.std_epochs = 4;
-    cfg.real_epochs = 4;
-    cfg.num_real_traces = 6;
-    cfg.dataset_episodes = 8;
-    cfg.qbn_train.epochs = 5;
-    cfg.finetune_epochs = 2;
-    cfg.seed = 2021;
-    cfg
-}
-
 fn bench_guard(c: &mut Criterion) {
     let mut group = c.benchmark_group("guard");
 
@@ -70,7 +56,7 @@ fn bench_guard(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(detector.score()))
     });
 
-    let cfg = paper_short_budget();
+    let cfg = lahd_bench::paper_short_budget();
     let artifacts = lahd_bench::cached_artifacts(&cfg);
     let baseline = resolve_baseline(&cfg, &artifacts, &[]);
     let ladder = build_ladder(&cfg, &artifacts);

@@ -1,4 +1,5 @@
-//! Criterion micro-benchmark: end-to-end A2C episode training throughput.
+//! Criterion micro-benchmark: end-to-end A2C episode training throughput,
+//! and one epoch of the pipeline's QBN fine-tuning.
 //!
 //! One `train_episode` call is a full rollout (GRU inference per step)
 //! plus one BPTT update through the episode's tape — the unit of work the
@@ -6,8 +7,16 @@
 //! environment here is a fixed-horizon synthetic MDP at paper-scale
 //! dimensions (35-wide observations, 7 actions, GRU-128), so the harness
 //! times the *learner*, not the storage simulator.
+//!
+//! The `finetune/*` rows time one `fine_tune_quantized` epoch of the
+//! short-budget paper-width pipeline (GRU-128, QBN latents 12/64, its six
+//! real traces): the student/teacher rollouts, each episode's BPTT and the
+//! fold of the QBN gradients, starting every iteration from the cached
+//! pipeline's QBNs. `_pool1` pins the worker pool to one thread; the other
+//! row uses the automatic pool.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use lahd_core::Pipeline;
 use lahd_rl::{A2cConfig, A2cTrainer, Env, RecurrentActorCritic, Transition};
 use lahd_sim::Observation;
 
@@ -123,5 +132,36 @@ fn bench_train(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_train);
+fn bench_finetune(c: &mut Criterion) {
+    let mut group = c.benchmark_group("finetune");
+    group.sample_size(3);
+    let cached = lahd_bench::paper_short_budget();
+    let artifacts = lahd_bench::cached_artifacts(&cached);
+    for (name, workers) in [
+        ("gru128_epoch_6traces", 0),
+        ("gru128_epoch_6traces_pool1", 1),
+    ] {
+        let mut cfg = cached.clone();
+        cfg.finetune_epochs = 1;
+        cfg.a2c.num_workers = workers;
+        let pipeline = Pipeline::new(cfg);
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || (artifacts.obs_qbn.clone(), artifacts.hidden_qbn.clone()),
+                |(mut obs_qbn, mut hidden_qbn)| {
+                    pipeline.fine_tune_quantized(
+                        &artifacts.agent,
+                        &mut obs_qbn,
+                        &mut hidden_qbn,
+                        &artifacts.real_traces,
+                    )
+                },
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_train, bench_finetune);
 criterion_main!(benches);

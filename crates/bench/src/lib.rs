@@ -43,6 +43,21 @@ pub fn configure(args: &Args) -> PipelineConfig {
     cfg
 }
 
+/// `PipelineConfig::paper()` widths (GRU-128, latents 12/64, 192-interval
+/// traces) on a short training budget: the serving benchmark's pipeline,
+/// which the micro benches train once and cache (see [`cached_artifacts`]).
+pub fn paper_short_budget() -> PipelineConfig {
+    let mut cfg = PipelineConfig::paper();
+    cfg.std_epochs = 4;
+    cfg.real_epochs = 4;
+    cfg.num_real_traces = 6;
+    cfg.dataset_episodes = 8;
+    cfg.qbn_train.epochs = 5;
+    cfg.finetune_epochs = 2;
+    cfg.seed = 2021;
+    cfg
+}
+
 /// Prints the standard harness banner.
 pub fn banner(name: &str, cfg: &PipelineConfig) {
     println!("================================================================");

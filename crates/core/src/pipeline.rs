@@ -3,10 +3,15 @@
 //! networks → extract and minimise a finite state machine → wrap it as a
 //! deployable white-box policy.
 
+use std::sync::Mutex;
+
 use lahd_fsm::{extract_fsm, merge_compatible, minimize, Fsm, FsmExecutor, Metric};
 use lahd_nn::Graph;
 use lahd_qbn::{Qbn, QbnConfig, QbnTrainConfig, TransitionDataset, TransitionRow};
-use lahd_rl::{train_curriculum, A2cConfig, A2cTrainer, EpochLog, Phase, RecurrentActorCritic};
+use lahd_rl::{
+    train_curriculum, A2cConfig, A2cTrainer, EpochLog, InferEngine, InferScratch, Phase,
+    RecurrentActorCritic,
+};
 use lahd_sim::{Action, SimConfig};
 use lahd_tensor::{seeded_rng, Matrix};
 use lahd_workload::{real_trace_set, standard_trace_set, WorkloadTrace};
@@ -373,6 +378,8 @@ impl Pipeline {
         let scenario = self.scenario();
         let num_actions = scenario.num_actions();
         let mut rng = seeded_rng(c.seed.wrapping_add(0xF5A));
+        let engine = InferEngine::new(agent);
+        let mut infer = InferScratch::default();
         let mut dataset = TransitionDataset::new();
         for episode in 0..c.dataset_episodes {
             let trace = &traces[episode % traces.len()];
@@ -380,21 +387,21 @@ impl Pipeline {
                 scenario.make_rollout(&c.sim, trace.clone(), c.seed.wrapping_add(episode as u64));
             // Raw hidden carried across steps; every use goes through the
             // QBN, so the raw value's *code* is the true loop state and
-            // `encode(recorded hidden)` reproduces it exactly.
+            // `encode(recorded hidden)` reproduces it exactly. The network
+            // steps from the raw value's reconstruction, which is the
+            // previous step's successor reconstruction carried over.
             let mut hidden_raw = agent.initial_state();
+            let mut hidden_recon = Matrix::row_vector(&hidden_qbn.reconstruct(hidden_raw.row(0)));
             let mut step_idx = 0usize;
             while !sim.is_done() {
                 let obs = sim.observe();
-                let obs_recon = obs_qbn.decode(&obs_qbn.encode(&obs));
-                let hidden_recon =
-                    Matrix::row_vector(&hidden_qbn.decode(&hidden_qbn.encode(hidden_raw.row(0))));
-                let infer = agent.infer(&obs_recon, &hidden_recon);
+                let obs_recon = obs_qbn.reconstruct(&obs);
+                engine.infer_into(agent, &obs_recon, &hidden_recon, &mut infer);
                 // The action is read from the *reconstruction* of the
                 // successor code, making it a pure function of that code —
                 // exactly what "each state corresponds to one unique
                 // action" (§3.3) requires.
-                let next_recon =
-                    Matrix::row_vector(&hidden_qbn.decode(&hidden_qbn.encode(infer.hidden.row(0))));
+                let next_recon = Matrix::row_vector(&hidden_qbn.reconstruct(infer.hidden.row(0)));
                 let action = agent.greedy_action_for_hidden(&next_recon);
                 // Exploration drives the *simulator* into more diverse
                 // states (densifying the transition table), but the recorded
@@ -417,7 +424,8 @@ impl Pipeline {
                     episode,
                     step: step_idx,
                 });
-                hidden_raw = infer.hidden;
+                std::mem::swap(&mut hidden_raw, &mut infer.hidden);
+                hidden_recon = next_recon;
                 step_idx += 1;
             }
         }
@@ -444,6 +452,17 @@ impl Pipeline {
     /// the "original DRL model" column of Figure 4, so mutating it would
     /// invalidate the comparison.
     ///
+    /// Each epoch rolls out one episode per trace, then replays each
+    /// episode on its own tape; both phases run on scoped workers, as many
+    /// as [`A2cConfig::pool_size`] gives for `config.a2c` and the trace
+    /// count. The replays go in rounds of one episode per worker, last
+    /// episodes first, and each round's tapes are folded (see
+    /// `Graph::fold_param_grads_into`) before the next round reuses them.
+    /// The loss is the mean over every step of every episode. Its value
+    /// and the QBN gradients are folded in the order of one tape recording
+    /// the episodes back to back, so every pool size gives the same bits.
+    /// The frozen agent's gradients are never formed.
+    ///
     /// Returns the per-epoch combined losses.
     pub fn fine_tune_quantized(
         &self,
@@ -452,86 +471,72 @@ impl Pipeline {
         hidden_qbn: &mut Qbn,
         traces: &[WorkloadTrace],
     ) -> Vec<f32> {
-        const ANCHOR_WEIGHT: f32 = 1.0;
         let c = &self.config;
-        let scenario = self.scenario();
+        let workers = c.a2c.pool_size(traces.len());
+        let engine = InferEngine::new(agent);
         let mut adam_obs = lahd_nn::Adam::new(c.finetune_lr);
         let mut adam_hid = lahd_nn::Adam::new(c.finetune_lr);
         let mut losses = Vec::with_capacity(c.finetune_epochs);
+        let mut episodes: Vec<ImitationEpisode> =
+            traces.iter().map(|_| Default::default()).collect();
+        let mut step_losses: Vec<Vec<f32>> = vec![Vec::new(); traces.len()];
+        let mut tapes: Vec<Graph> = (0..workers).map(|_| Graph::new()).collect();
+        let (mut obs_grads, mut hid_grads) = (Vec::new(), Vec::new());
 
         for epoch in 0..c.finetune_epochs {
             // 1. On-policy collection: student acts, teacher labels.
-            let mut episodes: Vec<(Vec<Vec<f32>>, Vec<usize>)> = Vec::new();
-            for (i, trace) in traces.iter().enumerate() {
+            let (obs_ref, hid_ref) = (&*obs_qbn, &*hidden_qbn);
+            let rollouts = episodes.iter_mut().zip(traces).enumerate();
+            drain_on_pool(workers, rollouts, |(i, (episode, trace))| {
                 let seed = c.seed.wrapping_add((epoch * traces.len() + i) as u64);
-                let mut sim = scenario.make_rollout(&c.sim, trace.clone(), seed);
-                let mut h_student = agent.initial_state();
-                let mut h_teacher = agent.initial_state();
-                let mut obs_seq = Vec::new();
-                let mut labels = Vec::new();
-                while !sim.is_done() {
-                    let obs = sim.observe();
-                    let t_infer = agent.infer(&obs, &h_teacher);
-                    labels.push(lahd_tensor::argmax(&t_infer.logits));
+                *episode = self.imitation_rollout(agent, &engine, obs_ref, hid_ref, trace, seed);
+            });
 
-                    let obs_recon = obs_qbn.decode(&obs_qbn.encode(&obs));
-                    let h_recon = Matrix::row_vector(
-                        &hidden_qbn.decode(&hidden_qbn.encode(h_student.row(0))),
+            // 2. BPTT of the mean step loss, episodes `lo..hi` per round,
+            // tape `j` replaying episode `hi - 1 - j`.
+            let steps: usize = episodes.iter().map(|e| e.labels.len()).sum();
+            let inv_steps = 1.0 / steps.max(1) as f32;
+            obs_grads.clear();
+            hid_grads.clear();
+            let mut hi = episodes.len();
+            while hi > 0 {
+                let lo = hi.saturating_sub(workers);
+                let replays = tapes
+                    .iter_mut()
+                    .zip(episodes[lo..hi].iter().rev())
+                    .zip(step_losses[lo..hi].iter_mut().rev());
+                drain_on_pool(workers, replays, |((tape, episode), step_losses)| {
+                    replay_imitation(
+                        agent,
+                        obs_ref,
+                        hid_ref,
+                        episode,
+                        inv_steps,
+                        tape,
+                        step_losses,
                     );
-                    let s_infer = agent.infer(&obs_recon, &h_recon);
-                    let s_next_recon = Matrix::row_vector(
-                        &hidden_qbn.decode(&hidden_qbn.encode(s_infer.hidden.row(0))),
-                    );
-                    let action = agent.greedy_action_for_hidden(&s_next_recon);
-                    sim.step(action);
-
-                    obs_seq.push(obs);
-                    h_teacher = t_infer.hidden;
-                    h_student = s_infer.hidden;
+                });
+                for tape in &tapes[..hi - lo] {
+                    tape.fold_param_grads_into(&obs_ref.store, &mut obs_grads);
+                    tape.fold_param_grads_into(&hid_ref.store, &mut hid_grads);
                 }
-                episodes.push((obs_seq, labels));
+                hi = lo;
             }
+            // The one tape's accumulator chain adds the step losses in
+            // forward order, and its root scales the sum: `k·total + 0.0`.
+            let total = step_losses
+                .iter()
+                .flatten()
+                .copied()
+                .reduce(|acc, l| acc + l)
+                .expect("traces are non-empty");
+            let loss_value = inv_steps * total + 0.0;
 
-            // 2. One joint BPTT update of the two QBN stores.
+            // 3. One joint update of the two QBN stores.
             obs_qbn.store.zero_grads();
             hidden_qbn.store.zero_grads();
-            let mut g = Graph::new();
-            let mut loss_acc: Option<lahd_nn::Var> = None;
-            let mut steps = 0usize;
-            for (obs_seq, labels) in &episodes {
-                let mut h = g.constant(agent.initial_state());
-                for (obs, &label) in obs_seq.iter().zip(labels) {
-                    let x_const = Matrix::row_vector(obs);
-                    let x = g.constant(x_const.clone());
-                    let (_, x_recon) = obs_qbn.forward_tape(&mut g, x);
-                    let (_, h_recon) = hidden_qbn.forward_tape(&mut g, h);
-                    let h_anchor_target = g.value(h).clone();
-                    let h_next = agent.gru().step(&mut g, &agent.store, x_recon, h_recon);
-                    let (_, h_next_recon) = hidden_qbn.forward_tape(&mut g, h_next);
-                    let logits = agent
-                        .policy_head()
-                        .forward(&mut g, &agent.store, h_next_recon);
-
-                    let ce = g.cross_entropy_logits(logits, label, 1.0);
-                    let obs_anchor = g.mse_against(x_recon, x_const);
-                    let h_anchor = g.mse_against(h_recon, h_anchor_target);
-                    let anchors = g.add(obs_anchor, h_anchor);
-                    let anchors = g.scale(anchors, ANCHOR_WEIGHT);
-                    let step_loss = g.add(ce, anchors);
-                    loss_acc = Some(match loss_acc {
-                        None => step_loss,
-                        Some(acc) => g.add(acc, step_loss),
-                    });
-                    h = h_next;
-                    steps += 1;
-                }
-            }
-            let total = loss_acc.expect("traces are non-empty");
-            let loss = g.scale(total, 1.0 / steps.max(1) as f32);
-            let loss_value = g.scalar(loss);
-            g.backward(loss);
-            g.accumulate_param_grads(&mut obs_qbn.store);
-            g.accumulate_param_grads(&mut hidden_qbn.store);
+            obs_qbn.store.add_grads(&obs_grads);
+            hidden_qbn.store.add_grads(&hid_grads);
             lahd_nn::clip_global_norm_multi(&mut [&mut obs_qbn.store, &mut hidden_qbn.store], 5.0);
             adam_obs.step(&mut obs_qbn.store);
             adam_hid.step(&mut hidden_qbn.store);
@@ -542,6 +547,47 @@ impl Pipeline {
             losses.push(loss_value);
         }
         losses
+    }
+
+    /// One fine-tuning episode on `trace`: the quantized student acts
+    /// greedily in the simulator while the continuous teacher, fed the same
+    /// observations, labels each one with its greedy action. Both step
+    /// through the packed `engine`, which is bit-identical to the unpacked
+    /// agent. The student's loop state is its hidden reconstruction, so
+    /// each step's successor reconstruction is the next step's input.
+    fn imitation_rollout(
+        &self,
+        agent: &RecurrentActorCritic,
+        engine: &InferEngine,
+        obs_qbn: &Qbn,
+        hidden_qbn: &Qbn,
+        trace: &WorkloadTrace,
+        seed: u64,
+    ) -> ImitationEpisode {
+        let mut sim = self
+            .scenario()
+            .make_rollout(&self.config.sim, trace.clone(), seed);
+        let mut teacher = InferScratch::default();
+        let mut student = InferScratch::default();
+        let mut h_teacher = agent.initial_state();
+        let mut h_recon = Matrix::row_vector(&hidden_qbn.reconstruct(h_teacher.row(0)));
+        let mut episode = ImitationEpisode::default();
+        while !sim.is_done() {
+            let obs = sim.observe();
+            engine.infer_into(agent, &obs, &h_teacher, &mut teacher);
+            episode
+                .labels
+                .push(lahd_tensor::argmax(teacher.logits.row(0)));
+
+            let obs_recon = obs_qbn.reconstruct(&obs);
+            engine.infer_into(agent, &obs_recon, &h_recon, &mut student);
+            h_recon = Matrix::row_vector(&hidden_qbn.reconstruct(student.hidden.row(0)));
+            sim.step(agent.greedy_action_for_hidden(&h_recon));
+
+            episode.observations.push(obs);
+            std::mem::swap(&mut h_teacher, &mut teacher.hidden);
+        }
+        episode
     }
 
     /// Fits the observation and hidden-state QBNs on the dataset.
@@ -658,6 +704,91 @@ impl Pipeline {
     }
 }
 
+/// One fine-tuning episode: what the student observed and the teacher's
+/// greedy action for each observation.
+#[derive(Default)]
+struct ImitationEpisode {
+    observations: Vec<Vec<f32>>,
+    labels: Vec<usize>,
+}
+
+/// Records `episode`'s quantized loop on `tape` and runs its backward pass
+/// from `k · Σ_t loss_t`, leaving the QBN and agent gradients staged on the
+/// tape; `step_losses` receives each step's loss in forward order.
+///
+/// One tape recording every episode back to back under `k · Σ_e Σ_t loss_t`
+/// hands each step loss the gradient `k`; this root hands it the same `k`,
+/// so each episode's nodes get that tape's gradients bit for bit.
+fn replay_imitation(
+    agent: &RecurrentActorCritic,
+    obs_qbn: &Qbn,
+    hidden_qbn: &Qbn,
+    episode: &ImitationEpisode,
+    k: f32,
+    tape: &mut Graph,
+    step_losses: &mut Vec<f32>,
+) {
+    const ANCHOR_WEIGHT: f32 = 1.0;
+    tape.reset();
+    step_losses.clear();
+    let g = tape;
+    let mut h = g.constant(agent.initial_state());
+    let mut loss_acc: Option<lahd_nn::Var> = None;
+    for (obs, &label) in episode.observations.iter().zip(&episode.labels) {
+        let x_const = Matrix::row_vector(obs);
+        let x = g.constant(x_const.clone());
+        let (_, x_recon) = obs_qbn.forward_tape(g, x);
+        let (_, h_recon) = hidden_qbn.forward_tape(g, h);
+        let h_anchor_target = g.value(h).clone();
+        let h_next = agent.gru().step(g, &agent.store, x_recon, h_recon);
+        let (_, h_next_recon) = hidden_qbn.forward_tape(g, h_next);
+        let logits = agent.policy_head().forward(g, &agent.store, h_next_recon);
+
+        let ce = g.cross_entropy_logits(logits, label, 1.0);
+        let obs_anchor = g.mse_against(x_recon, x_const);
+        let h_anchor = g.mse_against(h_recon, h_anchor_target);
+        let anchors = g.add(obs_anchor, h_anchor);
+        let anchors = g.scale(anchors, ANCHOR_WEIGHT);
+        let step_loss = g.add(ce, anchors);
+        step_losses.push(g.scalar(step_loss));
+        loss_acc = Some(match loss_acc {
+            None => step_loss,
+            Some(acc) => g.add(acc, step_loss),
+        });
+        h = h_next;
+    }
+    if let Some(total) = loss_acc {
+        let loss = g.scale(total, k);
+        g.backward(loss);
+    }
+}
+
+/// Hands every item of `items` to `work` once, on `workers` scoped threads
+/// that each take the next item when they finish one (on the caller's
+/// thread alone when `workers` is 1). No thread outlives the call.
+fn drain_on_pool<I>(workers: usize, items: I, work: impl Fn(I::Item) + Sync)
+where
+    I: Iterator + Send,
+    I::Item: Send,
+{
+    if workers <= 1 {
+        items.for_each(work);
+        return;
+    }
+    let queue = Mutex::new(items);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let item = queue.lock().expect("no worker panicked").next();
+                match item {
+                    Some(item) => work(item),
+                    None => break,
+                }
+            });
+        }
+    });
+}
+
 /// Action display names in index order (`Noop`, `N=>K`, …), for reports and
 /// DOT export.
 pub fn action_names() -> Vec<String> {
@@ -669,6 +800,7 @@ mod tests {
     use super::*;
     use crate::scenario::run_rollout;
     use lahd_sim::Observation;
+    use lahd_workload::real_trace_set;
 
     #[test]
     fn tiny_pipeline_runs_end_to_end() {
@@ -718,6 +850,184 @@ mod tests {
         assert_eq!(ds.obs_dim(), sc.obs_dim());
         assert_eq!(ds.hidden_dim(), 12);
         assert!(ds.rows().iter().all(|r| r.action < sc.num_actions()));
+    }
+
+    /// The fine-tuning loop as one tape: every episode recorded back to
+    /// back and one backward pass, with the unpacked agent and a fresh
+    /// hidden-QBN round trip at every step. `fine_tune_quantized` must
+    /// reproduce its bits for every pool size.
+    fn single_tape_fine_tune(
+        pipeline: &Pipeline,
+        agent: &RecurrentActorCritic,
+        obs_qbn: &mut Qbn,
+        hidden_qbn: &mut Qbn,
+        traces: &[WorkloadTrace],
+    ) -> Vec<f32> {
+        const ANCHOR_WEIGHT: f32 = 1.0;
+        let c = &pipeline.config;
+        let scenario = pipeline.scenario();
+        let mut adam_obs = lahd_nn::Adam::new(c.finetune_lr);
+        let mut adam_hid = lahd_nn::Adam::new(c.finetune_lr);
+        let mut losses = Vec::with_capacity(c.finetune_epochs);
+
+        for epoch in 0..c.finetune_epochs {
+            // 1. On-policy collection: student acts, teacher labels.
+            let mut episodes: Vec<(Vec<Vec<f32>>, Vec<usize>)> = Vec::new();
+            for (i, trace) in traces.iter().enumerate() {
+                let seed = c.seed.wrapping_add((epoch * traces.len() + i) as u64);
+                let mut sim = scenario.make_rollout(&c.sim, trace.clone(), seed);
+                let mut h_student = agent.initial_state();
+                let mut h_teacher = agent.initial_state();
+                let mut obs_seq = Vec::new();
+                let mut labels = Vec::new();
+                while !sim.is_done() {
+                    let obs = sim.observe();
+                    let t_infer = agent.infer(&obs, &h_teacher);
+                    labels.push(lahd_tensor::argmax(&t_infer.logits));
+
+                    let obs_recon = obs_qbn.decode(&obs_qbn.encode(&obs));
+                    let h_recon = Matrix::row_vector(
+                        &hidden_qbn.decode(&hidden_qbn.encode(h_student.row(0))),
+                    );
+                    let s_infer = agent.infer(&obs_recon, &h_recon);
+                    let s_next_recon = Matrix::row_vector(
+                        &hidden_qbn.decode(&hidden_qbn.encode(s_infer.hidden.row(0))),
+                    );
+                    let action = agent.greedy_action_for_hidden(&s_next_recon);
+                    sim.step(action);
+
+                    obs_seq.push(obs);
+                    h_teacher = t_infer.hidden;
+                    h_student = s_infer.hidden;
+                }
+                episodes.push((obs_seq, labels));
+            }
+
+            // 2. One joint BPTT update of the two QBN stores.
+            obs_qbn.store.zero_grads();
+            hidden_qbn.store.zero_grads();
+            let mut g = Graph::new();
+            let mut loss_acc: Option<lahd_nn::Var> = None;
+            let mut steps = 0usize;
+            for (obs_seq, labels) in &episodes {
+                let mut h = g.constant(agent.initial_state());
+                for (obs, &label) in obs_seq.iter().zip(labels) {
+                    let x_const = Matrix::row_vector(obs);
+                    let x = g.constant(x_const.clone());
+                    let (_, x_recon) = obs_qbn.forward_tape(&mut g, x);
+                    let (_, h_recon) = hidden_qbn.forward_tape(&mut g, h);
+                    let h_anchor_target = g.value(h).clone();
+                    let h_next = agent.gru().step(&mut g, &agent.store, x_recon, h_recon);
+                    let (_, h_next_recon) = hidden_qbn.forward_tape(&mut g, h_next);
+                    let logits = agent
+                        .policy_head()
+                        .forward(&mut g, &agent.store, h_next_recon);
+
+                    let ce = g.cross_entropy_logits(logits, label, 1.0);
+                    let obs_anchor = g.mse_against(x_recon, x_const);
+                    let h_anchor = g.mse_against(h_recon, h_anchor_target);
+                    let anchors = g.add(obs_anchor, h_anchor);
+                    let anchors = g.scale(anchors, ANCHOR_WEIGHT);
+                    let step_loss = g.add(ce, anchors);
+                    loss_acc = Some(match loss_acc {
+                        None => step_loss,
+                        Some(acc) => g.add(acc, step_loss),
+                    });
+                    h = h_next;
+                    steps += 1;
+                }
+            }
+            let total = loss_acc.expect("traces are non-empty");
+            let loss = g.scale(total, 1.0 / steps.max(1) as f32);
+            let loss_value = g.scalar(loss);
+            g.backward(loss);
+            g.accumulate_param_grads(&mut obs_qbn.store);
+            g.accumulate_param_grads(&mut hidden_qbn.store);
+            lahd_nn::clip_global_norm_multi(&mut [&mut obs_qbn.store, &mut hidden_qbn.store], 5.0);
+            adam_obs.step(&mut obs_qbn.store);
+            adam_hid.step(&mut hidden_qbn.store);
+            // Next epoch's rollouts encode/decode through the packed QBN
+            // inference weights, which the Adam steps just invalidated.
+            obs_qbn.repack();
+            hidden_qbn.repack();
+            losses.push(loss_value);
+        }
+        losses
+    }
+
+    /// Three traces of different lengths, so the fine-tuning episodes run
+    /// uneven step counts.
+    fn uneven_traces(seed: u64) -> Vec<WorkloadTrace> {
+        [24, 32, 40]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &len)| real_trace_set(1, len, seed + i as u64))
+            .collect()
+    }
+
+    fn param_bits(store: &lahd_nn::ParamStore) -> Vec<Vec<u32>> {
+        store
+            .iter()
+            .map(|(_, p)| p.value.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn fine_tuning_matches_the_single_tape_for_every_pool_size() {
+        let mut config = PipelineConfig::tiny();
+        config.finetune_epochs = 2;
+        let traces = uneven_traces(config.seed);
+        let sc = config.scenario.get();
+        let agent = RecurrentActorCritic::new(sc.obs_dim(), config.hidden_dim, sc.num_actions(), 7);
+        let obs_qbn = Qbn::new(QbnConfig::with_dims(sc.obs_dim(), config.obs_latent), 8);
+        let hidden_qbn = Qbn::new(
+            QbnConfig::with_dims(config.hidden_dim, config.hidden_latent),
+            9,
+        );
+
+        let reference = Pipeline::new(config.clone());
+        let lengths: Vec<usize> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let engine = InferEngine::new(&agent);
+                let seed = config.seed.wrapping_add(i as u64);
+                reference
+                    .imitation_rollout(&agent, &engine, &obs_qbn, &hidden_qbn, t, seed)
+                    .labels
+                    .len()
+            })
+            .collect();
+        assert!(
+            lengths[0] != lengths[1] && lengths[1] != lengths[2] && lengths[0] != lengths[2],
+            "episode lengths must differ: {lengths:?}"
+        );
+
+        let (mut want_obs, mut want_hid) = (obs_qbn.clone(), hidden_qbn.clone());
+        let want = single_tape_fine_tune(&reference, &agent, &mut want_obs, &mut want_hid, &traces);
+        let want_bits: Vec<u32> = want.iter().map(|l| l.to_bits()).collect();
+        for workers in [1, 2, 3] {
+            config.a2c.num_workers = workers;
+            let (mut got_obs, mut got_hid) = (obs_qbn.clone(), hidden_qbn.clone());
+            let got = Pipeline::new(config.clone()).fine_tune_quantized(
+                &agent,
+                &mut got_obs,
+                &mut got_hid,
+                &traces,
+            );
+            let got_bits: Vec<u32> = got.iter().map(|l| l.to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "losses, {workers} workers");
+            assert_eq!(
+                param_bits(&got_obs.store),
+                param_bits(&want_obs.store),
+                "obs QBN, {workers} workers"
+            );
+            assert_eq!(
+                param_bits(&got_hid.store),
+                param_bits(&want_hid.store),
+                "hidden QBN, {workers} workers"
+            );
+        }
     }
 
     #[test]

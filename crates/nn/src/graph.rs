@@ -6,7 +6,33 @@
 //! e.g. the same GRU weights at every timestep of an episode — accumulates
 //! into a single gradient), and [`Graph::accumulate_param_grads`] flushes the
 //! result into the [`ParamStore`].
+//!
+//! # Staged weight gradients
+//!
+//! A parameter that the tape uses only as the right operand of single-row
+//! products (`x · W` with `x` one row) or only as the bias of single-row
+//! [`Graph::add_bias`]es is *staged*: backward notes each use (its input
+//! node and its product node, whose upstream row the tape keeps anyway),
+//! in backward order, instead of adding one rank-1 `xᵀ·g` delta per use.
+//! Its gradient is formed only when it is read: the input rows `X` and
+//! upstream rows `G` are gathered and folded by one `Xᵀ·G` (lahd-tensor's
+//! `Aᵀ·B` GEMM, whose ascending-`k` fold is pinned to the reference
+//! kernel) or, for a bias, by the ascending column sum of `G`.
+//!
+//! That is the eager sum bit for bit: each eager delta is `0.0 + x·g`,
+//! and an accumulator that starts at `+0.0` never becomes `−0.0`, so
+//! adding `x·g` or `0.0 + x·g` to it gives the same bits. A parameter
+//! whose gradient is never read (a frozen network's) costs one note per
+//! use. Every other parameter, and every non-parameter node, accumulates
+//! eagerly.
+//!
+//! Because a fold is an ascending sum from its starting value, folding
+//! several tapes' staged rows one tape after another equals folding their
+//! concatenation: [`Graph::fold_param_grads_into`] uses this to give
+//! per-episode tapes, replayed on separate threads, the gradients of the
+//! single tape that recorded the episodes back to back.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use lahd_tensor::{softmax_row, Matrix};
@@ -19,8 +45,10 @@ pub struct Var(usize);
 
 /// Recorded operation; inputs always precede outputs on the tape.
 enum Op {
-    /// Constant or parameter leaf.
+    /// Constant leaf.
     Leaf,
+    /// Bound parameter leaf; the index into `Graph::bound`.
+    Param(usize),
     /// `A · B`.
     MatMul(Var, Var),
     /// `A + B` (same shape).
@@ -63,19 +91,87 @@ enum Op {
     SumAll(Var),
 }
 
+impl Op {
+    /// The nodes this op reads.
+    fn inputs(&self) -> [Option<Var>; 2] {
+        match *self {
+            Op::Leaf | Op::Param(_) => [None, None],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddBias(a, b)
+            | Op::ConcatCols(a, b) => [Some(a), Some(b)],
+            Op::Affine(x, _)
+            | Op::Sigmoid(x)
+            | Op::Tanh(x)
+            | Op::Relu(x)
+            | Op::TernaryTanh(x)
+            | Op::QuantizeSte(x)
+            | Op::SumAll(x)
+            | Op::CrossEntropyLogits { logits: x, .. }
+            | Op::EntropyFromLogits { logits: x }
+            | Op::SquaredError { input: x, .. }
+            | Op::MseAgainst { pred: x, .. } => [Some(x), None],
+        }
+    }
+}
+
+/// How the uses recorded so far let a bound parameter's gradient form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Uses {
+    /// No op has used the parameter yet.
+    None,
+    /// Only ever the right operand of single-row `matmul`s: staged.
+    Weight,
+    /// Only ever the bias of single-row `add_bias`es: staged.
+    Bias,
+    /// Used any other way: accumulated eagerly, like every other node.
+    Eager,
+}
+
+/// A parameter bound onto the tape.
+struct Bound {
+    /// Address of the store the parameter came from (see [`Graph::param`]).
+    store: usize,
+    id: ParamId,
+    var: Var,
+    uses: Uses,
+    /// A staged parameter's uses in backward order: the product's left
+    /// operand (a weight's input row; unused for a bias) and the product
+    /// node, whose gradient is the use's upstream row.
+    notes: Vec<(Var, Var)>,
+}
+
+impl Bound {
+    fn staged(&self) -> bool {
+        matches!(self.uses, Uses::Weight | Uses::Bias)
+    }
+}
+
+thread_local! {
+    /// Gather buffers for [`Graph::fold_staged`]'s `Xᵀ·G`, reused across
+    /// folds on a thread (the pattern of lahd-tensor's pack buffers).
+    static GATHER: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
 /// The autodiff tape.
 #[derive(Default)]
 pub struct Graph {
     ops: Vec<Op>,
     values: Vec<Matrix>,
     grads: Vec<Option<Matrix>>,
-    /// `(store address, id, node)` for every bound parameter. Parameters
-    /// from *different* stores (e.g. a policy net plus two QBNs trained
-    /// jointly) are distinguished by the store's address, so the same
-    /// numeric `ParamId` in two stores cannot collide. The store must not
-    /// move between [`Graph::param`] and [`Graph::accumulate_param_grads`].
-    bound_params: Vec<(usize, ParamId, Var)>,
+    /// Every bound parameter, in binding order. Parameters from
+    /// *different* stores (e.g. a policy net plus two QBNs trained jointly)
+    /// are distinguished by the store's address, so the same numeric
+    /// `ParamId` in two stores cannot collide. The store must not move
+    /// between [`Graph::param`] and [`Graph::accumulate_param_grads`].
+    bound: Vec<Bound>,
     param_cache: HashMap<(usize, ParamId), Var>,
+    /// The use notes of the parameters bound before the last
+    /// [`Graph::reset`], by binding position: a model that binds the same
+    /// parameters in the same order every update reuses each one's list.
+    notes_free: Vec<Vec<(Var, Var)>>,
     /// Recycled matrix buffers, bucketed by length. [`Graph::reset`] drains
     /// every value and gradient into these free lists, and the `alloc_*`
     /// helpers draw exact-size buffers back out, so a tape that is reset
@@ -86,6 +182,10 @@ pub struct Graph {
     /// remaining per-step allocations are the small `Vec`s inside
     /// `softmax_row`/`log_softmax_row` in the scalar loss ops.
     free: HashMap<usize, Vec<Vec<f32>>>,
+    /// Test-only: accumulate every parameter eagerly, the reference the
+    /// staged folds are pinned against.
+    #[cfg(test)]
+    eager_only: bool,
 }
 
 impl Graph {
@@ -113,16 +213,19 @@ impl Graph {
     pub fn reset(&mut self) {
         self.ops.clear();
         for m in self.values.drain(..) {
-            let buf = m.into_vec();
-            self.free.entry(buf.len()).or_default().push(buf);
+            recycle(&mut self.free, m);
         }
-        for g in self.grads.drain(..) {
-            if let Some(m) = g {
-                let buf = m.into_vec();
-                self.free.entry(buf.len()).or_default().push(buf);
+        for m in self.grads.drain(..).flatten() {
+            recycle(&mut self.free, m);
+        }
+        for (slot, b) in self.bound.drain(..).enumerate() {
+            let mut notes = b.notes;
+            notes.clear();
+            match self.notes_free.get_mut(slot) {
+                Some(list) => *list = notes,
+                None => self.notes_free.push(notes),
             }
         }
-        self.bound_params.clear();
         self.param_cache.clear();
     }
 
@@ -167,10 +270,64 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
+        self.note_uses(&op);
         self.ops.push(op);
         self.values.push(value);
         self.grads.push(None);
         Var(self.ops.len() - 1)
+    }
+
+    /// Records how `op` uses the bound parameters among its inputs: a
+    /// parameter stays staged while every use is the right operand of a
+    /// single-row product, or while every use is the bias of a single-row
+    /// `add_bias`.
+    fn note_uses(&mut self, op: &Op) {
+        match *op {
+            Op::MatMul(a, b) => {
+                let single_row = self.values[a.0].rows() == 1;
+                self.note_use(a, Uses::Eager);
+                self.note_use(
+                    b,
+                    if single_row {
+                        Uses::Weight
+                    } else {
+                        Uses::Eager
+                    },
+                );
+            }
+            Op::AddBias(x, bias) => {
+                let single_row = self.values[x.0].rows() == 1;
+                self.note_use(x, Uses::Eager);
+                self.note_use(bias, if single_row { Uses::Bias } else { Uses::Eager });
+            }
+            _ => {
+                for v in op.inputs().into_iter().flatten() {
+                    self.note_use(v, Uses::Eager);
+                }
+            }
+        }
+    }
+
+    fn note_use(&mut self, v: Var, how: Uses) {
+        let Op::Param(slot) = self.ops[v.0] else {
+            return;
+        };
+        #[cfg(test)]
+        let how = if self.eager_only { Uses::Eager } else { how };
+        let b = &mut self.bound[slot];
+        b.uses = match b.uses {
+            Uses::None => how,
+            uses if uses == how => uses,
+            _ => Uses::Eager,
+        };
+    }
+
+    /// The binding slot of `v` when it is a staged parameter.
+    fn staged_slot(&self, v: Var) -> Option<usize> {
+        match self.ops[v.0] {
+            Op::Param(slot) if self.bound[slot].staged() => Some(slot),
+            _ => None,
+        }
     }
 
     /// Adds a constant leaf (gradient is tracked but never read back).
@@ -191,9 +348,21 @@ impl Graph {
         let src = store.value(id);
         let mut value = self.alloc_matrix_full(src.rows(), src.cols());
         value.copy_from(src);
-        let v = self.push(Op::Leaf, value);
+        let slot = self.bound.len();
+        let v = self.push(Op::Param(slot), value);
+        let notes = self
+            .notes_free
+            .get_mut(slot)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        self.bound.push(Bound {
+            store: key.0,
+            id,
+            var: v,
+            uses: Uses::None,
+            notes,
+        });
         self.param_cache.insert(key, v);
-        self.bound_params.push((key.0, id, v));
         v
     }
 
@@ -218,11 +387,17 @@ impl Graph {
     }
 
     /// Gradient of a node after [`Graph::backward`]; zero if the node did not
-    /// influence the loss.
+    /// influence the loss. A staged parameter's gradient is folded here.
     pub fn grad(&self, v: Var) -> Matrix {
+        let (rows, cols) = self.values[v.0].shape();
+        if let Some(slot) = self.staged_slot(v) {
+            let mut g = Matrix::zeros(rows, cols);
+            self.fold_staged(slot, &mut g);
+            return g;
+        }
         match &self.grads[v.0] {
             Some(g) => g.clone(),
-            None => Matrix::zeros(self.values[v.0].rows(), self.values[v.0].cols()),
+            None => Matrix::zeros(rows, cols),
         }
     }
 
@@ -401,6 +576,10 @@ impl Graph {
 
     /// Runs reverse-mode differentiation from the scalar node `root`.
     ///
+    /// Staged parameters (see the module docs) only note their uses here;
+    /// their gradients are folded when read. Run it once per recording:
+    /// [`Graph::reset`] before recording the next computation.
+    ///
     /// # Panics
     /// Panics if `root` is not `1 × 1`.
     pub fn backward(&mut self, root: Var) {
@@ -416,15 +595,19 @@ impl Graph {
                 continue;
             };
             match &self.ops[i] {
-                Op::Leaf => {}
+                Op::Leaf | Op::Param(_) => {}
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
                     let mut da = self.alloc_matrix(gy.rows(), self.values[b.0].rows());
                     gy.matmul_nt_acc(&self.values[b.0], &mut da);
-                    let mut db = self.alloc_matrix(self.values[a.0].cols(), gy.cols());
-                    self.values[a.0].matmul_tn_acc(&gy, &mut db);
                     self.accumulate(a, da);
-                    self.accumulate(b, db);
+                    if let Some(slot) = self.staged_slot(b) {
+                        self.bound[slot].notes.push((a, Var(i)));
+                    } else {
+                        let mut db = self.alloc_matrix(self.values[a.0].cols(), gy.cols());
+                        self.values[a.0].matmul_tn_acc(&gy, &mut db);
+                        self.accumulate(b, db);
+                    }
                 }
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
@@ -451,15 +634,19 @@ impl Graph {
                 }
                 Op::AddBias(x, bias) => {
                     let (x, bias) = (*x, *bias);
-                    // Bias gradient is the column-sum of the upstream grad.
-                    let mut db = self.alloc_matrix(1, gy.cols());
-                    for r in 0..gy.rows() {
-                        for (d, &g) in db.row_mut(0).iter_mut().zip(gy.row(r)) {
-                            *d += g;
-                        }
-                    }
                     self.accumulate_ref(x, &gy);
-                    self.accumulate(bias, db);
+                    if let Some(slot) = self.staged_slot(bias) {
+                        self.bound[slot].notes.push((x, Var(i)));
+                    } else {
+                        // Bias gradient is the column-sum of the upstream grad.
+                        let mut db = self.alloc_matrix(1, gy.cols());
+                        for r in 0..gy.rows() {
+                            for (d, &g) in db.row_mut(0).iter_mut().zip(gy.row(r)) {
+                                *d += g;
+                            }
+                        }
+                        self.accumulate(bias, db);
+                    }
                 }
                 Op::Sigmoid(x) => {
                     let x = *x;
@@ -581,8 +768,7 @@ impl Graph {
     fn accumulate(&mut self, v: Var, delta: Matrix) {
         if let Some(g) = &mut self.grads[v.0] {
             g.add_assign(&delta);
-            let buf = delta.into_vec();
-            self.free.entry(buf.len()).or_default().push(buf);
+            recycle(&mut self.free, delta);
         } else {
             self.grads[v.0] = Some(delta);
         }
@@ -628,22 +814,29 @@ impl Graph {
     pub fn export_param_grads_into(&self, store: &ParamStore, out: &mut Vec<(ParamId, Matrix)>) {
         let addr = store_addr(store);
         let mut filled = 0;
-        for &(a, id, var) in &self.bound_params {
-            if a != addr {
-                continue;
-            }
-            let (rows, cols) = self.values[var.0].shape();
+        for (i, b) in self
+            .bound
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.store == addr)
+        {
+            let (rows, cols) = self.values[b.var.0].shape();
             if filled == out.len() {
-                out.push((id, Matrix::zeros(rows, cols)));
+                out.push((b.id, Matrix::zeros(rows, cols)));
             }
             let slot = &mut out[filled];
-            slot.0 = id;
+            slot.0 = b.id;
             if slot.1.shape() != (rows, cols) {
                 slot.1 = Matrix::zeros(rows, cols);
             }
-            match &self.grads[var.0] {
-                Some(g) => slot.1.copy_from(g),
-                None => slot.1.fill_zero(),
+            if b.staged() {
+                slot.1.fill_zero();
+                self.fold_staged(i, &mut slot.1);
+            } else {
+                match &self.grads[b.var.0] {
+                    Some(g) => slot.1.copy_from(g),
+                    None => slot.1.fill_zero(),
+                }
             }
             filled += 1;
         }
@@ -652,21 +845,125 @@ impl Graph {
 
     /// Flushes the gradients of every parameter bound *from this store*
     /// into it; returns the number of parameters flushed. Call once per
-    /// participating store after [`Graph::backward`].
-    pub fn accumulate_param_grads(&self, store: &mut ParamStore) -> usize {
+    /// participating store after [`Graph::backward`]. A staged parameter's
+    /// gradient is folded into a recycled buffer first, so the store gains
+    /// exactly the tape's total, as it would from an eager accumulator.
+    pub fn accumulate_param_grads(&mut self, store: &mut ParamStore) -> usize {
         let addr = store_addr(store);
         let mut flushed = 0;
-        for &(a, id, var) in &self.bound_params {
-            if a != addr {
-                continue;
-            }
+        for slot in 0..self.bound.len() {
+            let (id, var, staged) = {
+                let b = &self.bound[slot];
+                if b.store != addr {
+                    continue;
+                }
+                (b.id, b.var, b.staged())
+            };
             flushed += 1;
-            if let Some(g) = &self.grads[var.0] {
+            if staged {
+                let (rows, cols) = self.values[var.0].shape();
+                let mut g = self.alloc_matrix(rows, cols);
+                self.fold_staged(slot, &mut g);
+                store.add_grad(id, &g);
+                recycle(&mut self.free, g);
+            } else if let Some(g) = &self.grads[var.0] {
                 store.add_grad(id, g);
             }
         }
         flushed
     }
+
+    /// Adds this tape's gradients of the parameters bound *from this
+    /// store* into `acc`, continuing a fold across tapes: an entry is found
+    /// by id, or appended as zeros the first time a parameter is seen.
+    ///
+    /// A staged parameter's rows are folded onto the entry's running sum.
+    /// So calling this on several tapes in backward order (the tape that
+    /// would have been recorded last goes first) and adding `acc` to a
+    /// zeroed store gives, for a parameter every tape stages, the bits of
+    /// one tape holding all the forward passes back to back, provided
+    /// each tape's root was seeded the way the single tape's gradient
+    /// reached it. A parameter this tape accumulates eagerly adds its
+    /// total instead: the same sum, rounded per tape.
+    pub fn fold_param_grads_into(&self, store: &ParamStore, acc: &mut Vec<(ParamId, Matrix)>) {
+        let addr = store_addr(store);
+        for (slot, b) in self
+            .bound
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.store == addr)
+        {
+            let pos = match acc.iter().position(|(id, _)| *id == b.id) {
+                Some(pos) => pos,
+                None => {
+                    let (rows, cols) = self.values[b.var.0].shape();
+                    acc.push((b.id, Matrix::zeros(rows, cols)));
+                    acc.len() - 1
+                }
+            };
+            let g = &mut acc[pos].1;
+            if b.staged() {
+                self.fold_staged(slot, g);
+            } else if let Some(eager) = &self.grads[b.var.0] {
+                g.add_assign(eager);
+            }
+        }
+    }
+
+    /// Folds staged parameter `slot`'s uses into `out`, in backward order:
+    /// `out += Xᵀ·G` over the gathered input and upstream rows for a
+    /// weight, `out += Σ_r G[r]` for a bias.
+    fn fold_staged(&self, slot: usize, out: &mut Matrix) {
+        let b = &self.bound[slot];
+        let upstream = |y: Var| {
+            self.grads[y.0]
+                .as_ref()
+                .expect("a staged use has its upstream gradient")
+                .row(0)
+        };
+        match b.uses {
+            Uses::Weight => GATHER.with(|cell| {
+                let (xs, gs) = &mut *cell.borrow_mut();
+                xs.clear();
+                gs.clear();
+                for &(x, y) in &b.notes {
+                    xs.extend_from_slice(self.values[x.0].row(0));
+                    gs.extend_from_slice(upstream(y));
+                }
+                let rows = b.notes.len();
+                let x = Matrix::from_vec(rows, out.rows(), std::mem::take(xs));
+                let g = Matrix::from_vec(rows, out.cols(), std::mem::take(gs));
+                x.matmul_tn_acc(&g, out);
+                *xs = x.into_vec();
+                *gs = g.into_vec();
+            }),
+            Uses::Bias => {
+                for &(_, y) in &b.notes {
+                    for (o, &g) in out.row_mut(0).iter_mut().zip(upstream(y)) {
+                        *o += g;
+                    }
+                }
+            }
+            Uses::None | Uses::Eager => unreachable!("only staged parameters fold"),
+        }
+    }
+
+    /// A tape that accumulates every parameter eagerly, one rank-1 delta
+    /// per single-row product: the reference the staged folds are pinned
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn eager_reference() -> Self {
+        Self {
+            eager_only: true,
+            ..Self::default()
+        }
+    }
+}
+
+/// Returns a matrix's buffer to a tape's free list.
+fn recycle(free: &mut HashMap<usize, Vec<Vec<f32>>>, m: Matrix) {
+    let buf = m.into_vec();
+    free.entry(buf.len()).or_default().push(buf);
 }
 
 #[inline]
@@ -834,7 +1131,7 @@ mod tests {
         let w1 = store.alloc("w1", 2, 3, Initializer::XavierUniform, &mut rng);
         let w2 = store.alloc("w2", 3, 1, Initializer::XavierUniform, &mut rng);
 
-        let g = build(&store, w1, w2);
+        let mut g = build(&store, w1, w2);
 
         // Path 1: export, then merge into a clone — and a second export
         // must reuse the warm buffers without changing anything.
@@ -975,5 +1272,256 @@ mod tests {
             store.zero_grads();
             reused.reset();
         }
+    }
+}
+
+/// Staged weight gradients against the eager reference, bit for bit.
+#[cfg(test)]
+mod staged_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A deterministic value stream for random tapes: mostly values in
+    /// (-2, 2), salted with ±0.0 and ±(smallest subnormal), whose products
+    /// with ordinary gradients underflow to ±0.0.
+    struct Values(u64);
+
+    impl Values {
+        fn next(&mut self) -> f32 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let bits = (self.0 >> 33) as u32;
+            let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+            match (bits >> 1) % 8 {
+                0 => sign * 0.0,
+                1 => sign * f32::from_bits(1),
+                _ => sign * ((bits >> 4) % 2000) as f32 / 1000.0,
+            }
+        }
+
+        fn matrix(&mut self, rows: usize, cols: usize) -> Matrix {
+            Matrix::from_fn(rows, cols, |_, _| self.next())
+        }
+    }
+
+    /// A recurrent cell: `v` reads the input, `w` is applied twice per
+    /// step (as the hidden QBN is), `b` is a bias added twice per step and
+    /// `c` once. `m` and `e` exercise the eager fallback: `m` also feeds a
+    /// multi-row product, `e` is also an element-wise factor.
+    struct Net {
+        store: ParamStore,
+        ids: [ParamId; 6],
+    }
+
+    const V: usize = 0;
+    const W: usize = 1;
+    const B: usize = 2;
+    const C: usize = 3;
+    const M: usize = 4;
+    const E: usize = 5;
+
+    fn net(seed: u64, k: usize, d: usize) -> Net {
+        let mut vals = Values(seed);
+        let mut store = ParamStore::new();
+        let shapes = [(k, d), (d, d), (1, d), (1, d), (d, d), (1, d)];
+        let names = ["v", "w", "b", "c", "m", "e"];
+        let ids = std::array::from_fn(|i| {
+            store.alloc_with_value(names[i], vals.matrix(shapes[i].0, shapes[i].1))
+        });
+        Net { store, ids }
+    }
+
+    /// Records one episode of `steps` steps; returns its step losses in
+    /// forward order.
+    fn episode(
+        g: &mut Graph,
+        net: &Net,
+        vals: &mut Values,
+        steps: usize,
+        fallbacks: bool,
+    ) -> Vec<Var> {
+        let p = |g: &mut Graph, i: usize| g.param(&net.store, net.ids[i]);
+        let (k, d) = net.store.value(net.ids[V]).shape();
+        let mut h = g.constant(vals.matrix(1, d));
+        let mut losses = Vec::new();
+        for _ in 0..steps {
+            let (v, w, b, c) = (p(g, V), p(g, W), p(g, B), p(g, C));
+            let x = g.constant(vals.matrix(1, k));
+            let xv = g.matmul(x, v);
+            let hw = g.matmul(h, w);
+            let s = g.add(xv, hw);
+            let s = g.add_bias(s, b);
+            let a = g.tanh(s);
+            let aw = g.matmul(a, w);
+            let aw = g.add_bias(aw, c);
+            let mut t = g.add_bias(aw, b);
+            if fallbacks {
+                let (m, e) = (p(g, M), p(g, E));
+                let hm = g.matmul(h, m);
+                t = g.add(t, hm);
+                t = g.add_bias(t, e);
+                t = g.mul(t, e);
+            }
+            h = g.tanh(t);
+            losses.push(g.mse_against(h, vals.matrix(1, d)));
+        }
+        if fallbacks {
+            let m = p(g, M);
+            let rows = g.constant(vals.matrix(3, d));
+            let y = g.matmul(rows, m);
+            let y = g.tanh(y);
+            losses.push(g.mse_against(y, vals.matrix(3, d)));
+        }
+        losses
+    }
+
+    /// `k · Σ losses` through an accumulator chain, and its backward pass.
+    fn backward_mean(g: &mut Graph, losses: &[Var], k: f32) {
+        let mut total = losses[0];
+        for &l in &losses[1..] {
+            total = g.add(total, l);
+        }
+        let root = g.scale(total, k);
+        g.backward(root);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn uses_of(g: &Graph, net: &Net, i: usize) -> Uses {
+        let addr = store_addr(&net.store);
+        g.bound
+            .iter()
+            .find(|b| b.store == addr && b.id == net.ids[i])
+            .map(|b| b.uses)
+            .expect("bound parameter")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every gradient read path of the staged tape (export, flush into
+        /// a store holding earlier gradients, `grad`) gives the eager
+        /// reference's bits.
+        #[test]
+        fn staged_gradients_equal_the_eager_reference(
+            seed in 0u64..1 << 40,
+            k in 1usize..5,
+            d in 1usize..7,
+            steps in 1usize..6,
+        ) {
+            let mut net = net(seed, k, d);
+            let record = |mut g: Graph| {
+                let losses = episode(&mut g, &net, &mut Values(seed ^ 0x5eed), steps, true);
+                backward_mean(&mut g, &losses, 0.37);
+                g
+            };
+            let mut staged = record(Graph::new());
+            let mut eager = record(Graph::eager_reference());
+            for (i, want) in [Uses::Weight, Uses::Weight, Uses::Bias, Uses::Bias, Uses::Eager, Uses::Eager]
+                .into_iter()
+                .enumerate()
+            {
+                prop_assert_eq!(uses_of(&staged, &net, i), want);
+                prop_assert_eq!(uses_of(&eager, &net, i), Uses::Eager);
+            }
+
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            staged.export_param_grads_into(&net.store, &mut got);
+            eager.export_param_grads_into(&net.store, &mut want);
+            prop_assert_eq!(got.len(), 6);
+            for ((id, g), (want_id, w)) in got.iter().zip(&want) {
+                prop_assert_eq!(id, want_id);
+                prop_assert_eq!(bits(g), bits(w), "export of {}", net.store.name(*id));
+            }
+            for &id in &net.ids {
+                let var = staged.param_cache[&(store_addr(&net.store), id)];
+                let want_var = eager.param_cache[&(store_addr(&net.store), id)];
+                prop_assert_eq!(bits(&staged.grad(var)), bits(&eager.grad(want_var)));
+            }
+
+            // Flushing adds the tape's total to what the store holds.
+            let prior = want.clone();
+            let mut flushed = Vec::new();
+            for tape in [&mut staged, &mut eager] {
+                net.store.zero_grads();
+                net.store.add_grads(&prior);
+                prop_assert_eq!(tape.accumulate_param_grads(&mut net.store), 6);
+                flushed.push(net.ids.map(|id| bits(net.store.grad(id))));
+            }
+            prop_assert_eq!(&flushed[0], &flushed[1]);
+        }
+
+        /// Episodes recorded on their own tapes, each seeded with the one
+        /// tape's `k`, fold last episode first to the one tape's bits.
+        #[test]
+        fn per_episode_tapes_fold_to_the_single_tape(
+            seed in 0u64..1 << 40,
+            k in 1usize..5,
+            d in 1usize..7,
+            lens in proptest::collection::vec(1usize..6, 1..5),
+        ) {
+            let mut net = net(seed, k, d);
+            let scale = 1.0 / lens.iter().sum::<usize>() as f32;
+
+            let mut single = Graph::new();
+            let mut vals = Values(seed ^ 0xe915);
+            let mut losses = Vec::new();
+            for &len in &lens {
+                losses.extend(episode(&mut single, &net, &mut vals, len, false));
+            }
+            backward_mean(&mut single, &losses, scale);
+
+            let mut vals = Values(seed ^ 0xe915);
+            let tapes: Vec<Graph> = lens
+                .iter()
+                .map(|&len| {
+                    let mut g = Graph::new();
+                    let losses = episode(&mut g, &net, &mut vals, len, false);
+                    backward_mean(&mut g, &losses, scale);
+                    g
+                })
+                .collect();
+
+            net.store.zero_grads();
+            prop_assert_eq!(single.accumulate_param_grads(&mut net.store), 4);
+            let want = net.ids.map(|id| bits(net.store.grad(id)));
+            let mut acc = Vec::new();
+            for tape in tapes.iter().rev() {
+                tape.fold_param_grads_into(&net.store, &mut acc);
+            }
+            prop_assert_eq!(acc.len(), 4);
+            net.store.zero_grads();
+            net.store.add_grads(&acc);
+            let got = net.ids.map(|id| bits(net.store.grad(id)));
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// A reset tape reuses each parameter's use notes and starts its
+    /// fold from nothing.
+    #[test]
+    fn reset_starts_staged_folds_afresh() {
+        let mut net = net(3, 2, 4);
+        let mut reused = Graph::new();
+        let losses = episode(&mut reused, &net, &mut Values(1), 5, false);
+        backward_mean(&mut reused, &losses, 0.2);
+        reused.reset();
+        let losses = episode(&mut reused, &net, &mut Values(2), 3, false);
+        backward_mean(&mut reused, &losses, 0.5);
+        let mut fresh = Graph::new();
+        let losses = episode(&mut fresh, &net, &mut Values(2), 3, false);
+        backward_mean(&mut fresh, &losses, 0.5);
+
+        let mut grads = Vec::new();
+        for tape in [&mut reused, &mut fresh] {
+            net.store.zero_grads();
+            tape.accumulate_param_grads(&mut net.store);
+            grads.push(net.ids.map(|id| bits(net.store.grad(id))));
+        }
+        assert_eq!(grads[0], grads[1]);
     }
 }

@@ -31,11 +31,12 @@ pub struct A2cConfig {
     pub epsilon: f32,
     /// Whether to normalise advantages per episode.
     pub normalize_advantages: bool,
-    /// Worker-pool size for batched rollouts and sharded episode replay.
-    /// `0` (the default) sizes the pool to `std::thread::available_parallelism`;
-    /// `1` runs everything on the caller's thread. The pool never exceeds
-    /// the number of environments/episodes; work is sharded contiguously
-    /// across workers. Each environment draws from its own
+    /// Worker-pool size for batched rollouts and sharded episode replay
+    /// (and, through [`A2cConfig::pool_size`], the pipeline's QBN
+    /// fine-tuning). `0` (the default) sizes the pool to
+    /// `std::thread::available_parallelism`; `1` runs everything on the
+    /// caller's thread. The pool never exceeds the number of
+    /// environments/episodes; work is sharded contiguously across workers. Each environment draws from its own
     /// deterministically-seeded RNG and gradients reduce in fixed episode
     /// order, so results are bit-identical for every pool size (see
     /// `tests/equivalence.rs`).
@@ -48,6 +49,24 @@ pub struct A2cConfig {
     /// differ from exact-mode runs). BPTT replay always uses the exact f32
     /// parameters either way.
     pub infer_precision: Precision,
+}
+
+impl A2cConfig {
+    /// Resolved worker-pool size for `jobs` independent work items: the
+    /// configured (or auto-detected) pool, clamped to the job count.
+    pub fn pool_size(&self, jobs: usize) -> usize {
+        if jobs <= 1 {
+            return 1;
+        }
+        let cap = if self.num_workers == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            self.num_workers
+        };
+        cap.clamp(1, jobs)
+    }
 }
 
 impl Default for A2cConfig {
@@ -219,22 +238,6 @@ impl A2cTrainer {
         self.engine.repack(&self.agent);
     }
 
-    /// Resolved worker-pool size for `jobs` independent work items: the
-    /// configured (or auto-detected) pool, clamped to the job count.
-    fn pool_size(&self, jobs: usize) -> usize {
-        if jobs <= 1 {
-            return 1;
-        }
-        let cap = if self.config.num_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.num_workers
-        };
-        cap.clamp(1, jobs)
-    }
-
     /// Consumes the trainer, returning the trained agent.
     pub fn into_agent(self) -> RecurrentActorCritic {
         self.agent
@@ -264,7 +267,7 @@ impl A2cTrainer {
         let agent = &self.agent;
         let engine = &self.engine;
         let epsilon = self.config.epsilon;
-        let workers = self.pool_size(envs.len());
+        let workers = self.config.pool_size(envs.len());
         if workers > 1 {
             let chunk = envs.len().div_ceil(workers);
             let mut episodes: Vec<Episode> = Vec::with_capacity(envs.len());
@@ -361,7 +364,7 @@ impl A2cTrainer {
         }
 
         self.agent.store.zero_grads();
-        let workers = self.pool_size(episodes.len());
+        let workers = self.config.pool_size(episodes.len());
         while self.graphs.len() < workers {
             self.graphs.push(Graph::new());
         }
