@@ -19,6 +19,30 @@ use lahd_serve::HostedDaemon;
 /// so the lockstep pin can fail.
 const SMOKE: [&str; 4] = ["--scale", "tiny", "--seed", "22"];
 
+/// The clean drill summary over [`SMOKE`] artifacts, byte for byte.
+/// Serving changes that mean to keep every answer leave it alone; a
+/// deliberate behaviour change regenerates it and says why.
+const CLEAN_DRILL_JSON: &str = concat!(
+    "{\"seed\":7,\"streams\":16,\"rounds_before\":4,\"rounds_after\":4,",
+    "\"faults\":\"none\",\"admitted\":16,\"recovered\":16,\"quarantined\":0,",
+    "\"journal_ops\":0,\"resumed_pct\":100,",
+    "\"baseline_checksum\":\"0x8caac13bf7cc15e5\",",
+    "\"recovered_checksum\":\"0x8caac13bf7cc15e5\",",
+    "\"distinct_actions\":2,\"lockstep\":true,\"clean_exit\":true}"
+);
+
+/// The `--corrupt` drill summary over [`SMOKE`] artifacts, byte for byte.
+const CORRUPT_DRILL_JSON: &str = concat!(
+    "{\"seed\":7,\"streams\":16,\"rounds_before\":4,\"rounds_after\":4,",
+    "\"faults\":\"shard-0.ckpt torn-write keep=888; shard-1.ckpt bit-flip at=51 mask=0x40; ",
+    "shard-0.wal dup-record at=8 len=17\",",
+    "\"admitted\":16,\"recovered\":14,\"quarantined\":2,",
+    "\"journal_ops\":2,\"resumed_pct\":87,",
+    "\"baseline_checksum\":\"0x8caac13bf7cc15e5\",",
+    "\"recovered_checksum\":\"0xcbc3fee2ba805545\",",
+    "\"distinct_actions\":2,\"lockstep\":false,\"clean_exit\":true}"
+);
+
 fn exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_lahd"))
 }
@@ -128,6 +152,10 @@ fn sigkill_recovery_drill_end_to_end() {
         summaries[0]
     );
     assert!(distinct_actions(&summaries[0]) >= 2, "{}", summaries[0]);
+    assert_eq!(
+        summaries[0], CLEAN_DRILL_JSON,
+        "the pinned clean drill summary moved"
+    );
 
     // Corrupt drill: seeded disk faults land between kill and restart;
     // recovery must quarantine the damaged records and exit cleanly.
@@ -146,6 +174,10 @@ fn sigkill_recovery_drill_end_to_end() {
         "fault description missing: {summary}"
     );
     assert!(summary.contains("\"clean_exit\":true"), "{summary}");
+    assert_eq!(
+        summary, CORRUPT_DRILL_JSON,
+        "the pinned corrupt drill summary moved"
+    );
 }
 
 #[test]

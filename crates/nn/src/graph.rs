@@ -330,7 +330,8 @@ impl Graph {
         }
     }
 
-    /// Adds a constant leaf (gradient is tracked but never read back).
+    /// Adds a constant leaf. Backward forms no gradient for it, so
+    /// [`Graph::grad`] reads zero there.
     pub fn constant(&mut self, value: Matrix) -> Var {
         self.push(Op::Leaf, value)
     }
@@ -598,12 +599,14 @@ impl Graph {
                 Op::Leaf | Op::Param(_) => {}
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let mut da = self.alloc_matrix(gy.rows(), self.values[b.0].rows());
-                    gy.matmul_nt_acc(&self.values[b.0], &mut da);
-                    self.accumulate(a, da);
+                    if !self.is_constant(a) {
+                        let mut da = self.alloc_matrix(gy.rows(), self.values[b.0].rows());
+                        gy.matmul_nt_acc(&self.values[b.0], &mut da);
+                        self.accumulate(a, da);
+                    }
                     if let Some(slot) = self.staged_slot(b) {
                         self.bound[slot].notes.push((a, Var(i)));
-                    } else {
+                    } else if !self.is_constant(b) {
                         let mut db = self.alloc_matrix(self.values[a.0].cols(), gy.cols());
                         self.values[a.0].matmul_tn_acc(&gy, &mut db);
                         self.accumulate(b, db);
@@ -763,10 +766,17 @@ impl Graph {
         }
     }
 
+    /// Whether `v` is a constant leaf, whose gradient nothing reads.
+    fn is_constant(&self, v: Var) -> bool {
+        matches!(self.ops[v.0], Op::Leaf)
+    }
+
     /// Accumulates an owned delta; its buffer is recycled when the slot is
-    /// already occupied.
+    /// already occupied or `v` is a constant.
     fn accumulate(&mut self, v: Var, delta: Matrix) {
-        if let Some(g) = &mut self.grads[v.0] {
+        if self.is_constant(v) {
+            recycle(&mut self.free, delta);
+        } else if let Some(g) = &mut self.grads[v.0] {
             g.add_assign(&delta);
             recycle(&mut self.free, delta);
         } else {
@@ -779,6 +789,9 @@ impl Graph {
     /// slot directly, copying only when a slot is still empty — and that
     /// copy lands in a recycled buffer.
     fn accumulate_ref(&mut self, v: Var, delta: &Matrix) {
+        if self.is_constant(v) {
+            return;
+        }
         if let Some(g) = &mut self.grads[v.0] {
             g.add_assign(delta);
         } else {
@@ -790,6 +803,9 @@ impl Graph {
 
     /// Accumulates `k · delta` without materialising the scaled matrix.
     fn accumulate_scaled(&mut self, v: Var, delta: &Matrix, k: f32) {
+        if self.is_constant(v) {
+            return;
+        }
         if let Some(g) = &mut self.grads[v.0] {
             g.axpy(k, delta);
         } else {

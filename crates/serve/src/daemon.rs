@@ -1,12 +1,12 @@
 //! The serving daemon: Unix-socket listener, connection routing, admission
-//! control, and crash-safe hot reload.
+//! control, the shard threads, and crash-safe hot reload.
 //!
 //! Topology: one acceptor thread, one thread per connection, and `shards`
-//! worker threads (see [`crate::shard`]) behind bounded queues. Streams are
-//! hashed to shards ([`shard_of`]), so one stream's requests are always
-//! ordered through one worker. Whoever answers a request, its connection
-//! thread or a shard, writes the reply straight into the connection's
-//! socket through the connection's one [`ReplySink`].
+//! shard threads behind bounded queues. Streams are hashed to shards
+//! ([`shard_of`]), so one stream's requests are always ordered through one
+//! shard. Whoever answers a request, its connection thread or a shard,
+//! writes the reply straight into the connection's socket through the
+//! connection's one [`ReplySink`].
 //!
 //! Admission control: enqueue uses `try_send` against the bounded shard
 //! queue, retrying [`ADMISSION_RETRIES`] times with a short backoff on
@@ -14,21 +14,38 @@
 //! answered inline from the scenario-baseline fallback policy (labelled
 //! [`crate::Source::Shed`]) instead of being rejected, and counted.
 //!
+//! Shard threads: each drives one [`ShardCore`], which decides with no I/O
+//! (see [`crate::shard`]), and does all of its I/O. It drains up to
+//! [`BATCH_MAX`] queued requests into a batch (20 ms without one is an
+//! idle tick) and carries out what the core returns in the order
+//! [`Effects`] names: a batch's stats are in the shard's slot and its
+//! journal records on disk before any of its replies is written. A panic
+//! (a bug, or an injected [`Request::Crash`]) is caught, counted, and the
+//! thread restarts around a fresh core with exponential backoff; the queue
+//! outlives the restart, so queued requests are still served. With
+//! recovery on, the thread reads its durable state once, before its
+//! restart loop, and the first core takes it. Every other start (a boot
+//! without recovery, a panic restart, a bundle swap) first writes the
+//! fresh core's empty checkpoint, so a later recovery cannot resurrect
+//! streams from an earlier lineage.
+//!
 //! Hot reload: a [`Request::Reload`] validates the candidate bundle
 //! off-path on the connection thread ([`ServeBundle::load`]: checked
 //! artifact parsing plus an inference probe). Only a sound bundle is
-//! published — the generation counter bumps and every shard swaps at its
-//! next batch boundary. A corrupt candidate is rejected with the old
-//! bundle untouched; there is nothing to roll back because nothing was
-//! swapped. (There is no portable signal handling in std, so reload is
-//! command-triggered over the socket rather than via SIGHUP.)
+//! published — the generation counter bumps and every shard thread swaps
+//! to a fresh core at its next batch boundary. A corrupt candidate is
+//! rejected with the old bundle untouched; there is nothing to roll back
+//! because nothing was swapped. (There is no portable signal handling in
+//! std, so reload is command-triggered over the socket rather than via
+//! SIGHUP.)
 
 use std::io::{BufReader, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -38,8 +55,9 @@ use lahd_fsm::VecPolicy;
 
 use crate::bundle::ServeBundle;
 use crate::metrics::{MetricsSnapshot, ServeMetrics, ShardStats};
+use crate::persist::{self, RecoveredShard, ShardPersist};
 use crate::protocol::{push_frame, read_frame, Request, Response, Source};
-use crate::shard::{run_shard, ShardMsg, TIER_BASELINE};
+use crate::shard::{CheckpointImage, Decide, Effects, ShardCore, BATCH_MAX, TIER_BASELINE};
 
 /// `try_send` retries before a request is shed.
 const ADMISSION_RETRIES: u32 = 2;
@@ -77,8 +95,8 @@ pub struct ServeConfig {
     /// Shard ticks between periodic checkpoints (0 = checkpoint only on
     /// graceful drain). Ignored without a `state_dir`.
     pub checkpoint_every: u64,
-    /// Whether shards load their checkpoint + journal on first boot (a
-    /// one-shot latch: panic restarts and bundle swaps never reload).
+    /// Whether each shard loads its checkpoint + journal when the daemon
+    /// starts. Panic restarts and bundle swaps never reload.
     pub recover: bool,
 }
 
@@ -112,40 +130,27 @@ impl ServeConfig {
 }
 
 /// State shared by every daemon thread.
-pub struct SharedState {
+struct SharedState {
     /// Daemon knobs.
-    pub cfg: ServeConfig,
+    cfg: ServeConfig,
     /// Pipeline configuration reload candidates are validated under.
-    pub pipeline_cfg: PipelineConfig,
+    pipeline_cfg: PipelineConfig,
     /// The currently published bundle.
-    pub bundle: Mutex<Arc<ServeBundle>>,
+    bundle: Mutex<Arc<ServeBundle>>,
     /// Bundle generation; bumps on every accepted reload.
-    pub generation: AtomicU64,
+    generation: AtomicU64,
     /// The counters connection threads write.
-    pub metrics: ServeMetrics,
-    /// One stats slot per shard, written only by that shard.
-    pub(crate) stats: Vec<Mutex<ShardStats>>,
+    metrics: ServeMetrics,
+    /// One stats slot per shard, written only by that shard's thread.
+    stats: Vec<Mutex<ShardStats>>,
     /// Set once; every loop drains and exits.
-    pub shutdown: AtomicBool,
-    /// Per-shard one-shot recovery latches: `true` until the shard's first
-    /// boot consumes it via [`SharedState::take_recover`].
-    pub recover_shards: Vec<AtomicBool>,
+    shutdown: AtomicBool,
 }
 
 impl SharedState {
-    /// Consumes shard `i`'s recovery latch. Returns `true` exactly once
-    /// per daemon lifetime — a panic restart or bundle swap rebuilds the
-    /// shard fresh instead of resurrecting a checkpoint that is now stale
-    /// against the live daemon's state.
-    pub fn take_recover(&self, shard: usize) -> bool {
-        self.recover_shards
-            .get(shard)
-            .is_some_and(|latch| latch.swap(false, Ordering::AcqRel))
-    }
-
     /// Locks shard `shard`'s stats slot. A slot holds plain counters, so a
     /// lock poisoned by a panicking holder is still read and written.
-    pub(crate) fn slot(&self, shard: usize) -> MutexGuard<'_, ShardStats> {
+    fn slot(&self, shard: usize) -> MutexGuard<'_, ShardStats> {
         self.stats[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -155,7 +160,7 @@ impl SharedState {
     /// counters. A shard folds a batch's counts into its slot before it
     /// sends that batch's replies, so the snapshot counts every decision
     /// whose reply any client received before this call.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    fn snapshot(&self) -> MetricsSnapshot {
         let mut totals = ShardStats::default();
         for shard in 0..self.stats.len() {
             totals.add(&self.slot(shard));
@@ -188,11 +193,6 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Shared state (metrics, generation) for in-process harnesses.
-    pub fn shared(&self) -> &Arc<SharedState> {
-        &self.shared
-    }
-
     /// Requests shutdown without waiting (clients normally send
     /// [`Request::Shutdown`] instead).
     pub fn shutdown(&self) {
@@ -224,9 +224,7 @@ pub fn serve(
     let listener = UnixListener::bind(socket)?;
     listener.set_nonblocking(true)?;
 
-    let recover = cfg.recover && cfg.state_dir.is_some();
     let shared = Arc::new(SharedState {
-        recover_shards: (0..cfg.shards).map(|_| AtomicBool::new(recover)).collect(),
         stats: (0..cfg.shards).map(|_| Mutex::default()).collect(),
         cfg: cfg.clone(),
         pipeline_cfg,
@@ -443,14 +441,13 @@ fn route_decide(
     let shard = shard_of(stream_id, senders.len());
     let enqueued = Instant::now();
     let deadline = (deadline_us > 0).then(|| enqueued + Duration::from_micros(deadline_us));
-    let mut msg = ShardMsg::Decide {
+    let req = Decide {
         req_id,
         stream: stream_id,
         deadline,
-        enqueued,
         obs,
-        reply: sink.clone(),
     };
+    let mut msg = ShardMsg::Decide(req, (enqueued, sink.clone()));
     for attempt in 0..=ADMISSION_RETRIES {
         match senders[shard].try_send(msg) {
             Ok(()) => return,
@@ -469,7 +466,7 @@ fn route_decide(
     }
     // Persistent backpressure: degrade gracefully by answering from the
     // cheap scenario-baseline fallback instead of erroring.
-    let ShardMsg::Decide { req_id, obs, .. } = msg else {
+    let ShardMsg::Decide(req, _) = msg else {
         unreachable!("decide admission only routes decide messages");
     };
     let policy = shed_policy.get_or_insert_with(|| {
@@ -481,12 +478,245 @@ fn route_decide(
             .next()
             .expect("every scenario registers at least one baseline")
     });
-    let action = policy.act_vec(&obs) as u16;
+    let action = policy.act_vec(&req.obs) as u16;
     ServeMetrics::bump(&shared.metrics.shed);
     sink.send(&Response::Decision {
-        req_id,
+        req_id: req.req_id,
         action,
         tier: TIER_BASELINE as u8,
         source: Source::Shed as u8,
     });
+}
+
+/// A message on a shard's queue.
+enum ShardMsg {
+    /// One decision request, and where it came from.
+    Decide(Decide, Route),
+    /// Chaos: panic the serving loop (exercises the restart path).
+    Crash,
+    /// Chaos: sleep `ms` milliseconds, letting the queue fill so admission
+    /// control is exercised deterministically.
+    Hold {
+        /// Sleep duration in milliseconds.
+        ms: u32,
+    },
+    /// Clean shard exit.
+    Shutdown,
+}
+
+/// Where a request came from: when admission accepted it (the latency
+/// histogram's origin), and the connection to answer.
+type Route = (Instant, Arc<ReplySink>);
+
+/// Restart backoff after the first panic, milliseconds; doubles per
+/// consecutive panic.
+const RESTART_BACKOFF_MS: u64 = 10;
+
+/// Restart backoff ceiling, milliseconds.
+const RESTART_BACKOFF_CAP_MS: u64 = 500;
+
+/// The shard thread body: serve until shutdown, restarting the serving
+/// loop with exponential backoff whenever it panics. The queue receiver
+/// outlives the panic, so in-flight requests survive shard crashes. With
+/// recovery on, the durable state is read here, once, and moved into the
+/// first core.
+fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>) {
+    let mut recovered = match &shared.cfg.state_dir {
+        Some(dir) if shared.cfg.recover => Some(persist::recover_shard(dir, index)),
+        _ => None,
+    };
+    let mut backoff_ms = RESTART_BACKOFF_MS;
+    loop {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            serve_loop(index, &rx, &shared, recovered.take())
+        }));
+        match outcome {
+            Ok(()) => return,
+            Err(_) => {
+                shared.slot(index).panics += 1;
+                if shared.shutdown.load(Ordering::Acquire) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(backoff_ms));
+                backoff_ms = (backoff_ms * 2).min(RESTART_BACKOFF_CAP_MS);
+                shared.slot(index).restarts += 1;
+            }
+        }
+    }
+}
+
+/// Drives one core at a time: drains the queue into batches, checks the
+/// bundle generation at every batch boundary, and carries out what the
+/// core returns.
+fn serve_loop(
+    index: usize,
+    rx: &Receiver<ShardMsg>,
+    shared: &SharedState,
+    recovered: Option<RecoveredShard>,
+) {
+    let (mut io, mut core) = ShardIo::start(index, shared, recovered);
+    let mut batch: Vec<Decide> = Vec::with_capacity(BATCH_MAX);
+    let mut routes: Vec<Route> = Vec::with_capacity(BATCH_MAX);
+    loop {
+        if shared.generation.load(Ordering::Acquire) != io.generation {
+            // A newer bundle: a fresh core, arena included, since saved
+            // cursor states mean nothing to the new machine.
+            io.fold(&core.fold());
+            (io, core) = ShardIo::start(index, shared, None);
+        }
+        let mut next = match rx.recv_timeout(Duration::from_millis(20)) {
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) if !shared.shutdown.load(Ordering::Acquire) => {
+                io.carry_out(core.tick(true), &[]);
+                continue;
+            }
+            Err(_) => return io.drain(&mut core),
+        };
+        let mut control = None;
+        while let Some(msg) = next.take() {
+            match msg {
+                ShardMsg::Decide(req, route) => {
+                    batch.push(req);
+                    routes.push(route);
+                    if batch.len() < BATCH_MAX {
+                        next = rx.try_recv().ok();
+                    }
+                }
+                other => control = Some(other),
+            }
+        }
+        if !batch.is_empty() {
+            io.carry_out(core.decide(&batch, Instant::now()), &routes);
+            io.carry_out(core.tick(false), &[]);
+            batch.clear();
+            routes.clear();
+        }
+        match control {
+            Some(ShardMsg::Shutdown) => return io.drain(&mut core),
+            Some(ShardMsg::Crash) => panic!("injected chaos crash"),
+            Some(ShardMsg::Hold { ms }) => std::thread::sleep(Duration::from_millis(ms as u64)),
+            Some(ShardMsg::Decide(..)) | None => {}
+        }
+    }
+}
+
+/// A shard thread's I/O around one core: the bundle generation the core
+/// serves, the checkpoint and journal files, and the stats slot.
+struct ShardIo<'a> {
+    index: usize,
+    shared: &'a SharedState,
+    generation: u64,
+    /// Durable-state writer; `None` when the daemon runs without a state
+    /// directory or its creation failed.
+    persist: Option<ShardPersist>,
+}
+
+impl<'a> ShardIo<'a> {
+    /// Starts a core over the published bundle. A start with `recovered`
+    /// state moves it into the core; every other start writes the fresh
+    /// core's empty checkpoint first, so a later recovery cannot resurrect
+    /// streams from an earlier lineage.
+    fn start(
+        index: usize,
+        shared: &'a SharedState,
+        recovered: Option<RecoveredShard>,
+    ) -> (Self, ShardCore) {
+        let bundle = shared.bundle.lock().unwrap().clone();
+        let generation = shared.generation.load(Ordering::Acquire);
+        let persist = shared.cfg.state_dir.as_deref().and_then(|dir| {
+            match ShardPersist::create(dir, index) {
+                Ok(p) => Some(p),
+                Err(_) => {
+                    shared.slot(index).persist_errors += 1;
+                    None
+                }
+            }
+        });
+        let mut core = ShardCore::new(bundle, &shared.cfg, persist.is_some());
+        let mut io = Self {
+            index,
+            shared,
+            generation,
+            persist,
+        };
+        match recovered {
+            Some(rec) => shared.slot(index).add(&core.recover(rec)),
+            None => io.write_checkpoint(core.checkpoint()),
+        }
+        (io, core)
+    }
+
+    /// Carries out a core's effects in the order [`Effects`] names, timing
+    /// the replies for the latency histogram as their stats fold. Each run
+    /// of consecutive replies to one connection goes out in one write.
+    fn carry_out(&mut self, fx: &mut Effects, routes: &[Route]) {
+        if let Some(p) = &mut self.persist {
+            for &(op, key) in &fx.journal {
+                if op == persist::WAL_ADMIT {
+                    p.log_admit(key);
+                } else {
+                    p.log_evict(key);
+                }
+            }
+        }
+        if let Some(delta) = &mut fx.stats {
+            if !fx.replies.is_empty() {
+                let end = Instant::now();
+                for reply in &fx.replies {
+                    if let Some(tier) = reply.served {
+                        let waited = end.duration_since(routes[reply.at].0);
+                        delta.record_served(tier, waited.as_nanos() as u64);
+                    }
+                }
+            }
+            self.fold(delta);
+            if let Some(p) = &mut self.persist {
+                if p.flush_wal().is_err() {
+                    self.shared.slot(self.index).persist_errors += 1;
+                }
+            }
+        }
+        let mut frames = Vec::new();
+        let mut replies = fx.replies.iter().peekable();
+        while let Some(reply) = replies.next() {
+            push_frame(&mut frames, &reply.resp.encode());
+            let to = &routes[reply.at].1;
+            if !replies
+                .peek()
+                .is_some_and(|next| Arc::ptr_eq(&routes[next.at].1, to))
+            {
+                to.write(&frames);
+                frames.clear();
+            }
+        }
+        self.write_checkpoint(fx.checkpoint.take());
+    }
+
+    /// Folds a stats delta into this shard's slot: counters add, gauges
+    /// replace.
+    fn fold(&self, delta: &ShardStats) {
+        self.shared.slot(self.index).absorb(delta);
+    }
+
+    /// Writes a checkpoint image (atomic tmp + rename; resets the journal)
+    /// and counts the outcome. The image is dropped here, once written.
+    fn write_checkpoint(&mut self, image: Option<CheckpointImage>) {
+        let (Some(p), Some(image)) = (&mut self.persist, image) else {
+            return;
+        };
+        let written = p.write_checkpoint(image.tick, &image.table, &image.arena);
+        let mut slot = self.shared.slot(self.index);
+        match written {
+            Ok(()) => slot.checkpoints += 1,
+            Err(_) => slot.persist_errors += 1,
+        }
+    }
+
+    /// Graceful-drain epilogue: final stats fold + final checkpoint. Runs
+    /// on every clean exit, so a daemon stopped by a shutdown command
+    /// leaves a complete durable image behind.
+    fn drain(&mut self, core: &mut ShardCore) {
+        self.fold(&core.fold());
+        self.write_checkpoint(core.checkpoint());
+    }
 }

@@ -12,8 +12,10 @@
 //! Each stream runs behind its own guarded tier ladder (extracted FSM →
 //! quantized-i8 net → exact net → scenario baseline, `lahd-guard`'s
 //! hysteresis machine deciding who serves); streams on a net tier are
-//! answered through one batched inference call per shard drain. The
-//! robustness layer covers every failure tier:
+//! answered through one batched inference call per shard drain. A shard's
+//! decisions run in a core that makes no socket, file, lock or clock call;
+//! its thread does that I/O. The robustness layer covers every failure
+//! tier:
 //!
 //! - **panic isolation** — a shard worker that panics is caught, counted,
 //!   and restarted with exponential backoff; its queue (and therefore its
@@ -33,7 +35,8 @@
 //!   segment files (atomic tmp+rename) and journals admits/evictions in
 //!   between ([`persist`]); `--recover` resumes surviving streams
 //!   bit-identically after a crash, truncating torn tails and
-//!   quarantining corrupt records instead of panicking.
+//!   quarantining corrupt records instead of panicking. Every other shard
+//!   start writes an empty checkpoint first.
 //!
 //! Every counter has one writer: each shard folds its counts into its own
 //! stats slot before it replies, connection threads bump [`ServeMetrics`],
@@ -70,7 +73,7 @@ pub use bench::{
 pub use bundle::ServeBundle;
 pub use client::ServeClient;
 pub use compact::{CompactStream, HibernationArena, REC_BYTES};
-pub use daemon::{serve, serve_dir, shard_of, ServeConfig, ServeHandle, SharedState};
+pub use daemon::{serve, serve_dir, shard_of, ServeConfig, ServeHandle};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
 pub use protocol::{
     read_frame, write_frame, ProtoError, Request, Response, Source, MAGIC, MAX_FRAME,

@@ -3,13 +3,13 @@
 //!
 //! Every counter has exactly one writer. Connection threads own the few
 //! in [`ServeMetrics`] (admission sheds, queue-full observations,
-//! reloads). Each shard owns one [`ShardStats`] slot in
-//! [`SharedState`](crate::SharedState): it counts decisions in a plain
-//! local [`ShardStats`] and folds that into its slot under the slot's
-//! uncontended lock at every batch boundary, before it sends the batch's
-//! replies, and on idle ticks. Rare events (recovery, checkpoints,
-//! persist errors, panics, restarts) go straight to the slot, so a worker
-//! panic cannot lose them. A `Stats` request locks each slot in turn, sums
+//! reloads). Each shard thread owns one [`ShardStats`] slot: its core
+//! counts decisions in a plain local [`ShardStats`] and hands that over as
+//! the stats delta of every batch and idle tick, and the thread folds the
+//! delta into its slot under the slot's uncontended lock, before it sends
+//! the batch's replies. Rare events (recovery, checkpoints, persist
+//! errors, panics, restarts) go straight to the slot, so a panic cannot
+//! lose them. A `Stats` request locks each slot in turn, sums
 //! the slots and the connection counters into one [`MetricsSnapshot`] and
 //! answers [`MetricsSnapshot::to_json`], whose exact inverse is
 //! [`MetricsSnapshot::from_json`]. Since a shard releases its slot before
@@ -46,11 +46,11 @@ impl ServeMetrics {
     }
 }
 
-/// One shard's counters and gauges: both the shard's slot in
-/// [`SharedState`](crate::SharedState) and the local accumulator the shard
-/// folds into it ([`ShardStats::absorb`]). Counters are monotonic; the
-/// gauges (`compact`, `resident`, `hibernated`, `arena_bytes`) are
-/// absolute levels.
+/// One shard's counters and gauges: both the shard's stats slot and the
+/// stats delta its core hands over, which the shard thread folds into the
+/// slot ([`ShardStats::absorb`]). Counters are monotonic; the gauges
+/// (`compact`, `resident`, `hibernated`, `arena_bytes`) are absolute
+/// levels.
 #[derive(Debug, Default)]
 pub(crate) struct ShardStats {
     /// Decisions answered on the guarded/compact path.

@@ -1,10 +1,10 @@
-//! Shard workers: per-core serving threads with tiered per-stream state.
+//! The shard core: one shard's serving state and decisions, with no I/O.
 //!
-//! Each shard owns the streams hashed to it, kept in a generation-stamped
-//! [`StreamTable`] in one of two representations:
+//! A [`ShardCore`] owns the streams hashed to one shard, kept in a
+//! generation-stamped [`StreamTable`] in one of two representations:
 //!
 //! - **Compact** ([`CompactStream`], ~96 B): a healthy FSM-tier stream
-//!   stores only its compiled cursor plus [`MicroHealth`] triage counters.
+//!   stores only its compiled cursor plus `MicroHealth` triage counters.
 //!   Decisions run through the shared compiled machine (batched SoA
 //!   `step_batch`, bit-identical to the scalar path); a tripped triage
 //!   signal or a periodic audit *materializes* the full ladder.
@@ -20,18 +20,16 @@
 //! [`HibernationArena`]; they rehydrate bit-identically on their next
 //! request (the round-trip property [`CompactStream`] pins).
 //!
-//! Stats stay off the decision path: the shard counts into a plain local
-//! [`ShardStats`] and folds it into its own slot in [`SharedState`] at
-//! batch boundaries, *before* writing the batch's replies, so any response
-//! a client observes is already counted when it asks for `Stats` (see
-//! [`crate::metrics`]). Gauges are stamped as absolute levels at every
-//! fold; rare events (recovery, checkpoints, persist errors, panics,
-//! restarts) go straight to the slot.
-//!
-//! Replies go straight into each connection's socket through its shared
-//! [`ReplySink`], one write per run of consecutive replies to one
-//! connection; a client that stops reading holds the shard for at most
-//! the daemon's write timeout.
+//! The core makes no socket, file, lock or clock call. [`ShardCore::decide`]
+//! serves one drained batch at the time the caller passes in, and
+//! [`ShardCore::tick`] ends a tick: one tick of the core's logical clock
+//! passes per batch or idle interval, and hibernation idleness and the
+//! sweep and checkpoint cadences count ticks. Each call returns the
+//! [`Effects`] that the shard thread in [`crate::daemon`] carries out: the
+//! replies, each naming its request by batch position; the
+//! journal records; the stats delta, a plain local [`ShardStats`] with the
+//! gauges stamped (see [`crate::metrics`]); and, when one is due, a
+//! checkpoint image.
 //!
 //! Batches are capped *below* the blocked-GEMM row cutoff, where the
 //! packed layers run multi-row GEMV kernels whose every row is
@@ -56,27 +54,11 @@
 //!
 //! A request whose observation has the wrong width or any non-finite
 //! value is answered with [`Response::Err`] before its stream is touched.
-//!
-//! Robustness: the worker body runs under `catch_unwind`; a panic (a bug,
-//! or an injected [`ShardMsg::Crash`]) is counted, the thread restarts
-//! with exponential backoff, and the shard's streams are re-admitted with
-//! reset state (what it counted since its last fold into the slot is
-//! lost, but every batch is folded before its replies go out). The
-//! queue lives *outside* the restart loop, so requests enqueued while the
-//! worker was down are served after recovery instead of being dropped.
-//! Expired deadlines are answered from the shard's fallback policy at
-//! dequeue time. Hot reload is observed at batch boundaries: the worker
-//! compares the daemon's bundle generation and rebuilds everything —
-//! table *and* arena, since saved state ids are meaningless across
-//! machines — between batches.
 
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lahd_core::SHADOW_TIER;
 use lahd_fsm::{
@@ -90,10 +72,10 @@ use lahd_tensor::Matrix;
 
 use crate::bundle::ServeBundle;
 use crate::compact::{CompactStream, HibernationArena, REC_BYTES};
-use crate::daemon::{ReplySink, SharedState};
+use crate::daemon::ServeConfig;
 use crate::metrics::ShardStats;
-use crate::persist::{self, ShardPersist};
-use crate::protocol::{push_frame, Response, Source};
+use crate::persist::{RecoveredShard, WAL_ADMIT, WAL_EVICT};
+use crate::protocol::{Response, Source};
 use crate::stream_table::{StreamRef, StreamTable};
 
 /// Maximum requests a shard drains into one batch. Strictly below the
@@ -127,33 +109,63 @@ const SWEEP_CHUNK: usize = 1024;
 /// beyond (an evicted stream re-admits fresh).
 const MAX_HIBERNATED: usize = 1 << 20;
 
-/// A message on a shard's queue.
-pub(crate) enum ShardMsg {
-    /// One decision request.
-    Decide {
-        /// Correlation id echoed back.
-        req_id: u64,
-        /// Stream identity.
-        stream: u64,
-        /// Absolute deadline; expired work is answered from the fallback.
-        deadline: Option<Instant>,
-        /// When admission accepted the request (latency histogram origin).
-        enqueued: Instant,
-        /// The observation.
-        obs: Vec<f32>,
-        /// The connection to write the [`Response::Decision`] to.
-        reply: Arc<ReplySink>,
-    },
-    /// Chaos: panic the worker (exercises the restart path).
-    Crash,
-    /// Chaos: sleep `ms` milliseconds, letting the queue fill so admission
-    /// control is exercised deterministically.
-    Hold {
-        /// Sleep duration in milliseconds.
-        ms: u32,
-    },
-    /// Clean worker exit.
-    Shutdown,
+/// One decision request, as the core sees it.
+pub(crate) struct Decide {
+    /// Correlation id echoed back.
+    pub req_id: u64,
+    /// Stream identity.
+    pub stream: u64,
+    /// Absolute deadline; expired work is answered from the fallback.
+    pub deadline: Option<Instant>,
+    /// The observation.
+    pub obs: Vec<f32>,
+}
+
+/// One answer to a request of the batch passed to [`ShardCore::decide`].
+pub(crate) struct Reply {
+    /// The answered request's position in the batch.
+    pub at: usize,
+    /// The response frame's body.
+    pub resp: Response,
+    /// The tier that served a guarded decision (timed for the latency
+    /// histogram); `None` for errors and deadline or shed answers.
+    pub served: Option<usize>,
+}
+
+/// A checkpoint image: the compact table's and the arena's records, flat
+/// slabs of [`REC_BYTES`] each, captured at shard tick `tick`.
+pub(crate) struct CheckpointImage {
+    /// The tick the image was captured at.
+    pub tick: u64,
+    /// Compact table records.
+    pub table: Vec<u8>,
+    /// Hibernation arena records.
+    pub arena: Vec<u8>,
+}
+
+/// What the shard thread carries out after a [`ShardCore`] call, in order:
+/// append the journal records; with a stats delta, fold it into the
+/// shard's slot and flush the journal; write the replies; write the image.
+#[derive(Default)]
+pub(crate) struct Effects {
+    /// Answers in the order they go out.
+    pub replies: Vec<Reply>,
+    /// Membership changes, as `(op, key)` with [`crate::persist`]'s ops.
+    pub journal: Vec<(u8, u64)>,
+    /// The counts since the last fold, gauges stamped (batches, idle ticks).
+    pub stats: Option<ShardStats>,
+    /// A checkpoint image, when the cadence made one due.
+    pub checkpoint: Option<CheckpointImage>,
+}
+
+impl Effects {
+    /// Empties every effect, keeping the buffers.
+    fn clear(&mut self) {
+        self.replies.clear();
+        self.journal.clear();
+        self.stats = None;
+        self.checkpoint = None;
+    }
 }
 
 /// Recurrent state one net tier keeps per stream, shared between the
@@ -289,11 +301,11 @@ fn resident(streams: &StreamTable<StreamEntry>, r: StreamRef) -> &ResidentStream
 const REPLAY_RUNGS: usize = 3;
 
 /// Shard-owned staging for one drain's batched shadow replay (see
-/// [`ShardState::replay_windows`]): the replayed rows and their actions,
+/// [`ShardCore::replay_windows`]): the replayed rows and their actions,
 /// plus reusable per-step buffers.
 #[derive(Default)]
 struct ReplayStaging {
-    /// Live-batch index of each replayed row.
+    /// Batch position of each replayed row.
     rows: Vec<usize>,
     /// Window length shared by every row (all of a shard's guards run one
     /// configuration): the buffered observations plus the closing one.
@@ -309,9 +321,9 @@ struct ReplayStaging {
 }
 
 impl ReplayStaging {
-    /// The replayed window actions for live-batch row `i`, one entry per
-    /// replayed rung: `None` for the serving rung, and for every rung
-    /// when the row was not replayed.
+    /// The replayed window actions for the row at batch position `i`, one
+    /// entry per replayed rung: `None` for the serving rung, and for every
+    /// rung when the row was not replayed.
     fn handed(&self, i: usize, active: usize) -> [Option<&[usize]>; REPLAY_RUNGS] {
         let row = self.rows.iter().position(|&j| j == i);
         std::array::from_fn(|rung| {
@@ -384,13 +396,14 @@ fn make_resident(
     }
 }
 
-/// A reply staged until the batch's counts are in the shard's stats slot.
-struct Reply {
-    to: Arc<ReplySink>,
-    resp: Response,
-    /// `(tier, enqueued)` for served decisions (feeds the latency
-    /// histogram); `None` for errors/deadline/shed answers.
-    served: Option<(usize, Instant)>,
+/// The [`Response::Decision`] answering `req`.
+fn decision(req: &Decide, action: usize, tier: usize, source: Source) -> Response {
+    Response::Decision {
+        req_id: req.req_id,
+        action: action as u16,
+        tier: tier as u8,
+        source: source as u8,
+    }
 }
 
 /// First-audit schedule: staggered per stream so a cohort admitted
@@ -403,12 +416,16 @@ fn first_audit(audit_every: u64, key: u64) -> u64 {
     audit_every / 2 + (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % audit_every
 }
 
-/// One shard's mutable serving state; rebuilt from scratch after a panic
+/// One shard's serving state and decision logic, with no I/O (see the
+/// module docs). The shard thread builds a fresh core after a panic
 /// restart or a bundle swap.
-struct ShardState {
-    shard_index: usize,
+pub(crate) struct ShardCore {
+    /// The daemon's knobs.
+    cfg: ServeConfig,
+    /// Whether the shard thread keeps durable state: only then does the
+    /// core journal membership changes and build checkpoint images.
+    durable: bool,
     bundle: Arc<ServeBundle>,
-    generation: u64,
     streams: StreamTable<StreamEntry>,
     arena: HibernationArena,
     /// Shard-local fallback for expired deadlines and over-capacity
@@ -437,19 +454,16 @@ struct ShardState {
     compact_count: u64,
     /// Gauge: resident entries in the table.
     resident_count: u64,
-    /// Counts since the last fold into this shard's stats slot.
+    /// Counts since the last fold.
     stats: ShardStats,
-    /// Replies staged during the batch, written after the stats fold.
-    replies: Vec<Reply>,
-    /// Durable-state writer (checkpoints + journal); `None` when the
-    /// daemon runs without a state directory or its creation failed.
-    persist: Option<ShardPersist>,
+    /// What the current call hands the shard thread.
+    fx: Effects,
 }
 
-impl ShardState {
-    fn fresh(shard_index: usize, shared: &SharedState) -> Self {
-        let bundle = shared.bundle.lock().unwrap().clone();
-        let generation = shared.generation.load(Ordering::Acquire);
+impl ShardCore {
+    /// An empty core serving `bundle` under `cfg`; `durable` says whether
+    /// the shard thread persists (see [`ShardCore::checkpoint`]).
+    pub(crate) fn new(bundle: Arc<ServeBundle>, cfg: &ServeConfig, durable: bool) -> Self {
         let fallback = bundle
             .scenario()
             .baselines(&bundle.cfg.sim)
@@ -461,19 +475,10 @@ impl ShardState {
             .as_deref()
             .map(CompiledFsm::make_batch_scratch);
         let fsm_scalar = bundle.compiled.as_deref().map(CompiledFsm::make_scratch);
-        let persist = shared.cfg.state_dir.as_deref().and_then(|dir| {
-            match ShardPersist::create(dir, shard_index) {
-                Ok(p) => Some(p),
-                Err(_) => {
-                    shared.slot(shard_index).persist_errors += 1;
-                    None
-                }
-            }
-        });
-        let mut state = Self {
-            shard_index,
+        Self {
+            cfg: cfg.clone(),
+            durable,
             bundle,
-            generation,
             streams: StreamTable::with_capacity(1024),
             arena: HibernationArena::new(MAX_HIBERNATED),
             fallback,
@@ -490,28 +495,18 @@ impl ShardState {
             compact_count: 0,
             resident_count: 0,
             stats: ShardStats::default(),
-            replies: Vec::new(),
-            persist,
-        };
-        // One-shot recovery latch: only the first boot with `--recover`
-        // loads the checkpoint — a panic restart or bundle swap must NOT
-        // resurrect durable state that is stale against the live daemon.
-        if state.persist.is_some() && shared.take_recover(shard_index) {
-            state.recover(shared);
+            fx: Effects::default(),
         }
-        state
     }
 
-    /// Rebuilds this shard's streams from the latest checkpoint segment +
-    /// journal tail. Checkpointed records come back bit-identically (same
-    /// cursor, same health triage); journal-only admits come back as
-    /// deterministic fresh compact streams (membership survives, cursor
-    /// state does not — the journal records membership, not trajectories).
-    fn recover(&mut self, shared: &SharedState) {
-        let Some(dir) = shared.cfg.state_dir.as_deref() else {
-            return;
-        };
-        let rec = persist::recover_shard(dir, self.shard_index);
+    /// Rebuilds this shard's streams from a checkpoint image and the
+    /// journal since it, consuming `rec`, and returns the recovery counts
+    /// for the shard thread to put straight into the stats slot.
+    /// Checkpointed records come back bit-identically (same cursor, same
+    /// health triage); journal-only admits come back as deterministic
+    /// fresh compact streams (membership survives, cursor state does not —
+    /// the journal records membership, not trajectories).
+    pub(crate) fn recover(&mut self, rec: RecoveredShard) -> ShardStats {
         for chunk in rec.table.chunks_exact(REC_BYTES) {
             let (key, stream) = CompactStream::deserialize(chunk);
             if self.streams.lookup(key).is_some() {
@@ -523,11 +518,9 @@ impl ShardState {
         for chunk in rec.arena.chunks_exact(REC_BYTES) {
             self.arena.restore_record(chunk);
         }
-        let mut journal_ops = 0u64;
         for &(op, key) in &rec.wal_ops {
-            journal_ops += 1;
             match op {
-                persist::WAL_ADMIT => {
+                WAL_ADMIT => {
                     let Some(compiled) = self.bundle.compiled.as_ref() else {
                         continue;
                     };
@@ -536,12 +529,12 @@ impl ShardState {
                     }
                     let compact = CompactStream::new(
                         CompiledCursor::new(compiled),
-                        first_audit(shared.cfg.audit_every, key),
+                        first_audit(self.cfg.audit_every, key),
                     );
                     self.streams.insert(key, StreamEntry::Compact(compact));
                     self.compact_count += 1;
                 }
-                persist::WAL_EVICT => {
+                WAL_EVICT => {
                     if let Some(r) = self.streams.lookup(key) {
                         if matches!(self.streams.get(r), Some(StreamEntry::Compact(_))) {
                             self.streams.remove(key);
@@ -557,28 +550,106 @@ impl ShardState {
         // Recovery-internal evictions (capacity trims) are not journal
         // events; drop them so the next load's journal stays clean.
         self.arena.drain_evicted();
-        let mut slot = shared.slot(self.shard_index);
-        slot.recovered_streams += self.streams.len() as u64 + self.arena.len() as u64;
-        slot.quarantined_records += rec.quarantined;
-        slot.journal_ops += journal_ops;
+        ShardStats {
+            recovered_streams: self.streams.len() as u64 + self.arena.len() as u64,
+            quarantined_records: rec.quarantined,
+            journal_ops: rec.wal_ops.len() as u64,
+            ..ShardStats::default()
+        }
     }
 
-    /// Batch-boundary reload check: when the daemon has published a newer
-    /// bundle generation, swap to it atomically (from this shard's point
-    /// of view) and re-admit streams with reset state. The hibernation
-    /// arena drops too — saved cursors are meaningless against the new
-    /// machine's state ids.
-    fn maybe_swap_bundle(&mut self, shared: &SharedState) {
-        let gen = shared.generation.load(Ordering::Acquire);
-        if gen == self.generation {
-            return;
+    /// Serves one drained batch as the next tick, at time `now` (deadlines
+    /// before it have expired). Returns a reply per request, the journal
+    /// records and the stats delta. Resident streams whose guard window
+    /// closes with their first request in the drain first replay that
+    /// window together ([`ShardCore::replay_windows`]). Then compact
+    /// streams and resident FSM-tier streams share one SoA `step_batch`
+    /// call; resident net-tier streams go through one batched inference
+    /// call per tier; everything else (the last-resort tier, repeat
+    /// requests for a stream already in the batch) takes the scalar path,
+    /// in arrival order per stream. The shard thread ends the tick with
+    /// [`ShardCore::tick`] once it has carried these effects out.
+    pub(crate) fn decide(&mut self, batch: &[Decide], now: Instant) -> &mut Effects {
+        self.fx.clear();
+        self.tick += 1;
+        self.serve(batch, now);
+        self.fx.stats = Some(self.fold());
+        &mut self.fx
+    }
+
+    /// Ends the current tick: runs the clock sweep when its cadence is due
+    /// and returns a checkpoint image when that cadence is due. An `idle`
+    /// tick, one without a batch, first advances the clock itself and
+    /// hands over the stats delta after its sweep; after a batch, the
+    /// sweep's counts wait for the next fold.
+    pub(crate) fn tick(&mut self, idle: bool) -> &mut Effects {
+        self.fx.clear();
+        if idle {
+            self.tick += 1;
         }
-        self.flush_stats(shared);
-        *self = Self::fresh(self.shard_index, shared);
-        // The old checkpoint's cursor state ids are meaningless against
-        // the new machine: replace it with the (empty) post-swap truth so
-        // a later `--recover` cannot resurrect cross-bundle state.
-        self.checkpoint(shared);
+        if self.tick.is_multiple_of(self.cfg.sweep_every.max(1)) {
+            self.sweep();
+        }
+        if idle {
+            self.fx.stats = Some(self.fold());
+        }
+        if self.cfg.checkpoint_every > 0 && self.tick.is_multiple_of(self.cfg.checkpoint_every) {
+            self.fx.checkpoint = self.checkpoint();
+        }
+        &mut self.fx
+    }
+
+    /// Takes the counts since the last fold, with the gauges stamped at
+    /// their current levels: the stats delta of a batch or an idle tick,
+    /// and the shard thread's last fold before a drain or a bundle swap.
+    pub(crate) fn fold(&mut self) -> ShardStats {
+        let mut delta = std::mem::take(&mut self.stats);
+        delta.compact = self.compact_count;
+        delta.resident = self.resident_count;
+        delta.hibernated = self.arena.len() as u64;
+        delta.arena_bytes = self.arena.arena_bytes();
+        delta
+    }
+
+    /// Serializes the compact table + arena into a checkpoint image, or
+    /// `None` when the shard thread keeps no durable state. Resident
+    /// streams are deliberately not captured — their net hidden state and
+    /// guard windows are not serializable — so they re-admit fresh after
+    /// recovery, exactly like a stream the daemon never saw.
+    pub(crate) fn checkpoint(&self) -> Option<CheckpointImage> {
+        if !self.durable {
+            return None;
+        }
+        let mut table = Vec::with_capacity(self.compact_count as usize * REC_BYTES);
+        let mut buf = [0u8; REC_BYTES];
+        for pos in 0..self.streams.slot_span() {
+            let Some(key) = self.streams.key_at_clock(pos) else {
+                continue;
+            };
+            let Some(r) = self.streams.lookup(key) else {
+                continue;
+            };
+            if let Some(StreamEntry::Compact(compact)) = self.streams.get(r) {
+                compact.serialize_into(key, &mut buf);
+                table.extend_from_slice(&buf);
+            }
+        }
+        let mut arena = Vec::with_capacity(self.arena.len() * REC_BYTES);
+        self.arena.snapshot_into(&mut arena);
+        Some(CheckpointImage {
+            tick: self.tick,
+            table,
+            arena,
+        })
+    }
+
+    /// Stages the reply to request `at`, a decision `tier` served.
+    fn answer(&mut self, at: usize, req: &Decide, action: usize, tier: usize) {
+        self.fx.replies.push(Reply {
+            at,
+            resp: decision(req, action, tier, Source::Guarded),
+            served: Some(tier),
+        });
     }
 
     /// Resolves `stream` to a live table entry, admitting it if needed:
@@ -586,17 +657,20 @@ impl ShardState {
     /// machine lowered) or a fresh full ladder. `None` means the table is
     /// at capacity and the request must shed. Hibernated streams do not
     /// count against `max_streams`.
-    fn admit(&mut self, shared: &SharedState, stream: u64) -> Option<StreamRef> {
+    fn admit(&mut self, stream: u64) -> Option<StreamRef> {
         if let Some(r) = self.streams.lookup(stream) {
             return Some(r);
         }
-        if self.streams.len() >= shared.cfg.max_streams {
+        if self.streams.len() >= self.cfg.max_streams {
             return None;
         }
         if let Some(compact) = self.arena.wake(stream) {
             self.stats.wakes += 1;
             self.compact_count += 1;
             return Some(self.streams.insert(stream, StreamEntry::Compact(compact)));
+        }
+        if self.durable {
+            self.fx.journal.push((WAL_ADMIT, stream));
         }
         if self.fsm_scratch.is_some() {
             let compiled = self
@@ -606,18 +680,12 @@ impl ShardState {
                 .expect("batch scratch implies a compiled machine");
             let compact = CompactStream::new(
                 CompiledCursor::new(compiled),
-                first_audit(shared.cfg.audit_every, stream),
+                first_audit(self.cfg.audit_every, stream),
             );
             self.compact_count += 1;
-            if let Some(p) = &mut self.persist {
-                p.log_admit(stream);
-            }
             Some(self.streams.insert(stream, StreamEntry::Compact(compact)))
         } else {
             self.resident_count += 1;
-            if let Some(p) = &mut self.persist {
-                p.log_admit(stream);
-            }
             let resident = make_resident(&self.bundle, stream, None);
             Some(
                 self.streams
@@ -663,7 +731,7 @@ impl ShardState {
     /// materialization (0 for the idle sweep), guard fully healthy, rung 0
     /// active. Up to `flush_every` pending shadow comparisons are
     /// discarded with the ladder (see module docs).
-    fn try_release(&mut self, shared: &SharedState, r: StreamRef, min_decisions: u64) {
+    fn try_release(&mut self, r: StreamRef, min_decisions: u64) {
         let Some(entry) = self.streams.get_mut(r) else {
             return;
         };
@@ -683,10 +751,10 @@ impl ShardState {
         let was_audit = resident.is_audit;
         let decisions = resident.decisions;
         let last_tick = resident.last_tick;
-        let next_audit = if shared.cfg.audit_every == 0 {
+        let next_audit = if self.cfg.audit_every == 0 {
             u64::MAX
         } else {
-            decisions + shared.cfg.audit_every
+            decisions + self.cfg.audit_every
         };
         let mut compact = CompactStream::new(cursor, next_audit);
         compact.decisions = decisions;
@@ -704,14 +772,7 @@ impl ShardState {
     /// outcome, stages the reply, and runs the per-kind bookkeeping —
     /// triage + audit scheduling for compact streams, guard feeding +
     /// release check for resident ones.
-    fn serve_fsm_row(
-        &mut self,
-        shared: &SharedState,
-        i: usize,
-        req: &DecideReq,
-        r: StreamRef,
-        outcome: StepOutcome,
-    ) {
+    fn serve_fsm_row(&mut self, at: usize, req: &Decide, r: StreamRef, outcome: StepOutcome) {
         let tick = self.tick;
         let Some(entry) = self.streams.get_mut(r) else {
             return;
@@ -730,16 +791,7 @@ impl ShardState {
                 );
                 let decisions = compact.decisions;
                 let audit_due = decisions >= compact.next_audit;
-                self.replies.push(Reply {
-                    to: req.reply.clone(),
-                    resp: Response::Decision {
-                        req_id: req.req_id,
-                        action: action as u16,
-                        tier: TIER_FSM as u8,
-                        source: Source::Guarded as u8,
-                    },
-                    served: Some((TIER_FSM, req.enqueued)),
-                });
+                self.answer(at, req, action, TIER_FSM);
                 match verdict {
                     MicroVerdict::Promote(_reason) => {
                         self.materialize(r, &req.obs, action, false);
@@ -751,7 +803,7 @@ impl ShardState {
                         {
                             // Budget exhausted: defer rather than skip, so
                             // the audit still happens soon.
-                            compact.next_audit = decisions + shared.cfg.audit_every / 4 + 1;
+                            compact.next_audit = decisions + self.cfg.audit_every / 4 + 1;
                         }
                     }
                     MicroVerdict::Healthy => {}
@@ -765,78 +817,42 @@ impl ShardState {
                     .borrow_mut()
                     .cursor
                     .apply(outcome);
-                let handed = self.replay.handed(i, TIER_FSM);
+                let handed = self.replay.handed(at, TIER_FSM);
                 resident.guard.record_replayed(&req.obs, action, &handed);
                 resident.decisions += 1;
                 resident.resident_decisions += 1;
                 resident.last_tick = tick;
-                self.replies.push(Reply {
-                    to: req.reply.clone(),
-                    resp: Response::Decision {
-                        req_id: req.req_id,
-                        action: action as u16,
-                        tier: TIER_FSM as u8,
-                        source: Source::Guarded as u8,
-                    },
-                    served: Some((TIER_FSM, req.enqueued)),
-                });
-                self.try_release(shared, r, RELEASE_AFTER);
+                self.answer(at, req, action, TIER_FSM);
+                self.try_release(r, RELEASE_AFTER);
             }
         }
     }
 
-    /// Serves one drained batch. Resident streams whose guard window
-    /// closes with their first request in the drain first replay that
-    /// window together ([`ShardState::replay_windows`]). Then compact
-    /// streams and resident FSM-tier streams share one SoA `step_batch`
-    /// call; resident net-tier streams go through one batched inference
-    /// call per tier; everything else (the last-resort tier, repeat
-    /// requests for a stream already in the batch, expired deadlines) takes
-    /// the scalar path, in arrival order per stream. Replies are staged and
-    /// written only after the batch's counts are folded into the shard's
-    /// stats slot.
-    fn process_batch(&mut self, shared: &SharedState, batch: Vec<DecideReq>) {
-        let now = Instant::now();
+    /// Stages the answers to one batch (see [`ShardCore::decide`]).
+    fn serve(&mut self, batch: &[Decide], now: Instant) {
         let obs_dim = self.bundle.obs_dim();
-        self.replies.clear();
-
-        let mut live: Vec<DecideReq> = Vec::with_capacity(batch.len());
-        for req in batch {
-            if req.obs.len() != obs_dim {
-                self.replies.push(Reply {
-                    to: req.reply.clone(),
-                    resp: Response::Err(format!(
-                        "observation width {} does not match bundle {obs_dim}",
-                        req.obs.len()
-                    )),
-                    served: None,
-                });
-                continue;
-            }
-            if req.obs.iter().any(|v| !v.is_finite()) {
-                self.replies.push(Reply {
-                    to: req.reply.clone(),
-                    resp: Response::Err("observation holds a non-finite value".to_string()),
-                    served: None,
-                });
-                continue;
-            }
-            if req.deadline.is_some_and(|d| now > d) {
-                let action = self.fallback.act_vec(&req.obs) as u16;
+        let mut live: Vec<usize> = Vec::with_capacity(batch.len());
+        for (at, req) in batch.iter().enumerate() {
+            let resp = if req.obs.len() != obs_dim {
+                Response::Err(format!(
+                    "observation width {} does not match bundle {obs_dim}",
+                    req.obs.len()
+                ))
+            } else if req.obs.iter().any(|v| !v.is_finite()) {
+                Response::Err("observation holds a non-finite value".to_string())
+            } else if req.deadline.is_some_and(|d| now > d) {
+                let action = self.fallback.act_vec(&req.obs);
                 self.stats.deadline_misses += 1;
-                self.replies.push(Reply {
-                    to: req.reply.clone(),
-                    resp: Response::Decision {
-                        req_id: req.req_id,
-                        action,
-                        tier: TIER_BASELINE as u8,
-                        source: Source::Deadline as u8,
-                    },
-                    served: None,
-                });
+                decision(req, action, TIER_BASELINE, Source::Deadline)
+            } else {
+                live.push(at);
                 continue;
-            }
-            live.push(req);
+            };
+            self.fx.replies.push(Reply {
+                at,
+                resp,
+                served: None,
+            });
         }
 
         // Partition by entry kind and active tier; first request per
@@ -848,18 +864,14 @@ impl ShardState {
         let mut net_batches: [Vec<(usize, StreamRef)>; 2] = [Vec::new(), Vec::new()];
         let mut scalar: Vec<(usize, StreamRef)> = Vec::new();
         let mut replay_rows: Vec<(usize, StreamRef, &[f32])> = Vec::new();
-        for (i, req) in live.iter().enumerate() {
-            let Some(r) = self.admit(shared, req.stream) else {
-                let action = self.fallback.act_vec(&req.obs) as u16;
+        for &at in &live {
+            let req = &batch[at];
+            let Some(r) = self.admit(req.stream) else {
+                let action = self.fallback.act_vec(&req.obs);
                 self.stats.shed += 1;
-                self.replies.push(Reply {
-                    to: req.reply.clone(),
-                    resp: Response::Decision {
-                        req_id: req.req_id,
-                        action,
-                        tier: TIER_BASELINE as u8,
-                        source: Source::Shed as u8,
-                    },
+                self.fx.replies.push(Reply {
+                    at,
+                    resp: decision(req, action, TIER_BASELINE, Source::Shed),
                     served: None,
                 });
                 continue;
@@ -871,9 +883,9 @@ impl ShardState {
             match self.streams.get(r).expect("freshly admitted handle") {
                 StreamEntry::Compact(_) => {
                     if first && fsm_batchable {
-                        fsm_rows.push((i, r));
+                        fsm_rows.push((at, r));
                     } else {
-                        scalar.push((i, r));
+                        scalar.push((at, r));
                     }
                 }
                 StreamEntry::Resident(resident) => {
@@ -883,14 +895,14 @@ impl ShardState {
                         && resident.fsm_cell.is_some()
                         && resident.guard.closes_window_next()
                     {
-                        replay_rows.push((i, r, &req.obs));
+                        replay_rows.push((at, r, &req.obs));
                     }
                     if tier == TIER_FSM && first && fsm_batchable && resident.fsm_cell.is_some() {
-                        fsm_rows.push((i, r));
+                        fsm_rows.push((at, r));
                     } else if (tier == TIER_QUANT || tier == TIER_EXACT) && first {
-                        net_batches[tier - TIER_QUANT].push((i, r));
+                        net_batches[tier - TIER_QUANT].push((at, r));
                     } else {
-                        scalar.push((i, r));
+                        scalar.push((at, r));
                     }
                 }
             }
@@ -928,14 +940,14 @@ impl ShardState {
                 .as_mut()
                 .expect("FSM batch only built with a scratch");
             compiled.step_batch(
-                fsm_rows.iter().map(|&(i, _)| live[i].obs.as_slice()),
+                fsm_rows.iter().map(|&(at, _)| batch[at].obs.as_slice()),
                 &self.fsm_states,
                 scratch,
                 &mut self.fsm_outcomes,
             );
-            for (row, &(i, r)) in fsm_rows.iter().enumerate() {
+            for (row, &(at, r)) in fsm_rows.iter().enumerate() {
                 let outcome = self.fsm_outcomes[row];
-                self.serve_fsm_row(shared, i, &live[i], r, outcome);
+                self.serve_fsm_row(at, &batch[at], r, outcome);
             }
         }
 
@@ -949,8 +961,8 @@ impl ShardState {
             let rows = idxs.len();
             let mut obs_m = Matrix::zeros(rows, obs_dim);
             let mut hidden_m = Matrix::zeros(rows, agent.hidden_dim());
-            for (row, &(i, r)) in idxs.iter().enumerate() {
-                obs_m.row_mut(row).copy_from_slice(&live[i].obs);
+            for (row, &(at, r)) in idxs.iter().enumerate() {
+                obs_m.row_mut(row).copy_from_slice(&batch[at].obs);
                 let StreamEntry::Resident(resident) = self.streams.get(r).expect("routed handle")
                 else {
                     unreachable!("net batches only route resident streams");
@@ -965,8 +977,8 @@ impl ShardState {
                 &self.bundle.exact
             };
             engine.infer_batch_into(agent, &obs_m, &hidden_m, &mut self.batch_scratch);
-            for (row, &(i, r)) in idxs.iter().enumerate() {
-                let req = &live[i];
+            for (row, &(at, r)) in idxs.iter().enumerate() {
+                let req = &batch[at];
                 let action = self.batch_scratch.logits.argmax_row(row);
                 let StreamEntry::Resident(resident) =
                     self.streams.get_mut(r).expect("routed handle")
@@ -978,26 +990,17 @@ impl ShardState {
                     .hidden
                     .row_mut(0)
                     .copy_from_slice(self.batch_scratch.hidden.row(row));
-                let handed = self.replay.handed(i, tier);
+                let handed = self.replay.handed(at, tier);
                 resident.guard.record_replayed(&req.obs, action, &handed);
                 resident.decisions += 1;
                 resident.resident_decisions += 1;
                 resident.last_tick = tick;
-                self.replies.push(Reply {
-                    to: req.reply.clone(),
-                    resp: Response::Decision {
-                        req_id: req.req_id,
-                        action: action as u16,
-                        tier: tier as u8,
-                        source: Source::Guarded as u8,
-                    },
-                    served: Some((tier, req.enqueued)),
-                });
+                self.answer(at, req, action, tier);
             }
         }
 
-        for &(i, r) in &scalar {
-            let req = &live[i];
+        for &(at, r) in &scalar {
+            let req = &batch[at];
             // Re-match the entry kind now: an earlier row of this batch may
             // have materialized (or released) this stream.
             let is_compact = matches!(self.streams.get(r), Some(StreamEntry::Compact(_)));
@@ -1018,7 +1021,7 @@ impl ShardState {
                     .as_mut()
                     .expect("compact entries only exist with a scalar scratch");
                 let outcome = compiled.step(&req.obs, state, scratch);
-                self.serve_fsm_row(shared, i, req, r, outcome);
+                self.serve_fsm_row(at, req, r, outcome);
                 continue;
             }
             let Some(StreamEntry::Resident(resident)) = self.streams.get_mut(r) else {
@@ -1027,31 +1030,19 @@ impl ShardState {
             let tier = resident.guard.active_tier();
             let action = resident
                 .guard
-                .act_replayed(&req.obs, &self.replay.handed(i, tier))
-                as u16;
+                .act_replayed(&req.obs, &self.replay.handed(at, tier));
             resident.decisions += 1;
             resident.resident_decisions += 1;
             resident.last_tick = tick;
-            self.replies.push(Reply {
-                to: req.reply.clone(),
-                resp: Response::Decision {
-                    req_id: req.req_id,
-                    action,
-                    tier: tier as u8,
-                    source: Source::Guarded as u8,
-                },
-                served: Some((tier, req.enqueued)),
-            });
+            self.answer(at, req, action, tier);
             if tier == TIER_FSM {
-                self.try_release(shared, r, RELEASE_AFTER);
+                self.try_release(r, RELEASE_AFTER);
             }
         }
-
-        self.finish_replies(shared);
     }
 
     /// Replays, all rows together, the guard windows that close with these
-    /// rows' decisions, given as `(live-batch index, handle, closing
+    /// rows' decisions, given as `(batch position, handle, closing
     /// observation)`: for each window step, one `step_batch` for the FSM
     /// rung and one multi-row `infer_batch_into` per net rung, each over the
     /// rows that rung does not serve. The window is the guard's buffered
@@ -1166,53 +1157,12 @@ impl ShardState {
         }
     }
 
-    /// Records latencies, folds the batch's counts into the stats slot, and
-    /// only then writes the staged replies, each run of consecutive replies
-    /// to one connection in one write: the ordering that makes a `Stats`
-    /// answer count every reply a client already holds.
-    fn finish_replies(&mut self, shared: &SharedState) {
-        let end = Instant::now();
-        for reply in &self.replies {
-            if let Some((tier, enqueued)) = reply.served {
-                self.stats
-                    .record_served(tier, end.duration_since(enqueued).as_nanos() as u64);
-            }
-        }
-        self.flush_stats(shared);
-        // Same ordering argument for durability: admits/evictions in this
-        // batch hit the journal before any of its replies are observable.
-        self.flush_persist(shared);
-        let mut frames = Vec::new();
-        let mut replies = self.replies.drain(..).peekable();
-        while let Some(reply) = replies.next() {
-            push_frame(&mut frames, &reply.resp.encode());
-            let same_conn = |next: &Reply| Arc::ptr_eq(&next.to, &reply.to);
-            if !replies.peek().is_some_and(same_conn) {
-                reply.to.write(&frames);
-                frames.clear();
-            }
-        }
-    }
-
-    /// Stamps the current gauges and folds the local counts into this
-    /// shard's stats slot (counters add, gauges replace), then starts a
-    /// fresh accumulator.
-    fn flush_stats(&mut self, shared: &SharedState) {
-        let local = &mut self.stats;
-        local.compact = self.compact_count;
-        local.resident = self.resident_count;
-        local.hibernated = self.arena.len() as u64;
-        local.arena_bytes = self.arena.arena_bytes();
-        shared.slot(self.shard_index).absorb(local);
-        *local = ShardStats::default();
-    }
-
     /// Clock sweep: examine up to [`SWEEP_CHUNK`] slots and push idle
     /// streams down the state ladder — resident → compact (idle release),
     /// compact → arena (hibernate). Two sweep passes therefore take a
     /// long-idle resident stream all the way to the arena.
-    fn sweep(&mut self, shared: &SharedState) {
-        if shared.cfg.hibernate_after == 0 {
+    fn sweep(&mut self) {
+        if self.cfg.hibernate_after == 0 {
             return;
         }
         let span = self.streams.slot_span();
@@ -1230,13 +1180,13 @@ impl ShardState {
             };
             match self.streams.get(r) {
                 Some(StreamEntry::Compact(compact)) => {
-                    if self.tick.saturating_sub(compact.last_tick) >= shared.cfg.hibernate_after {
+                    if self.tick.saturating_sub(compact.last_tick) >= self.cfg.hibernate_after {
                         self.hibernate_stream(key);
                     }
                 }
                 Some(StreamEntry::Resident(resident)) => {
-                    if self.tick.saturating_sub(resident.last_tick) >= shared.cfg.hibernate_after {
-                        self.try_release(shared, r, 0);
+                    if self.tick.saturating_sub(resident.last_tick) >= self.cfg.hibernate_after {
+                        self.try_release(r, 0);
                     }
                 }
                 None => {}
@@ -1253,225 +1203,23 @@ impl ShardState {
         self.arena.hibernate(key, &compact);
         self.stats.hibernates += 1;
         self.stats.evictions += self.arena.evicted() - evicted_before;
-        for victim in self.arena.drain_evicted() {
-            if let Some(p) = &mut self.persist {
-                p.log_evict(victim);
-            }
+        let evicted = self.arena.drain_evicted();
+        if self.durable {
+            self.fx.journal.extend(evicted.map(|key| (WAL_EVICT, key)));
         }
         self.compact_count -= 1;
-    }
-
-    /// Flushes buffered journal records to disk (batch boundaries and
-    /// idle ticks — the durability analogue of the stats fold).
-    fn flush_persist(&mut self, shared: &SharedState) {
-        if let Some(p) = &mut self.persist {
-            if p.flush_wal().is_err() {
-                shared.slot(self.shard_index).persist_errors += 1;
-            }
-        }
-    }
-
-    /// Serializes the compact table + arena into this shard's checkpoint
-    /// segment (atomic tmp + rename; resets the journal). Resident
-    /// streams are deliberately not captured — their net hidden state and
-    /// guard windows are not serializable — so they re-admit fresh after
-    /// recovery, exactly like a stream the daemon never saw.
-    fn checkpoint(&mut self, shared: &SharedState) {
-        if self.persist.is_none() {
-            return;
-        }
-        let mut table = Vec::with_capacity(self.compact_count as usize * REC_BYTES);
-        let mut buf = [0u8; REC_BYTES];
-        for pos in 0..self.streams.slot_span() {
-            let Some(key) = self.streams.key_at_clock(pos) else {
-                continue;
-            };
-            let Some(r) = self.streams.lookup(key) else {
-                continue;
-            };
-            if let Some(StreamEntry::Compact(compact)) = self.streams.get(r) {
-                compact.serialize_into(key, &mut buf);
-                table.extend_from_slice(&buf);
-            }
-        }
-        let mut arena = Vec::with_capacity(self.arena.len() * REC_BYTES);
-        self.arena.snapshot_into(&mut arena);
-        let p = self.persist.as_mut().expect("checked above");
-        let written = p.write_checkpoint(self.tick, &table, &arena);
-        let mut slot = shared.slot(self.shard_index);
-        match written {
-            Ok(()) => slot.checkpoints += 1,
-            Err(_) => slot.persist_errors += 1,
-        }
-    }
-
-    /// Graceful-drain epilogue: final stats fold + final checkpoint.
-    /// Runs on every clean `serve_loop` exit, so a daemon stopped by a
-    /// shutdown command leaves a complete durable image behind.
-    fn drain(&mut self, shared: &SharedState) {
-        self.flush_stats(shared);
-        self.checkpoint(shared);
-    }
-}
-
-/// A [`ShardMsg::Decide`] unpacked for batch processing.
-struct DecideReq {
-    req_id: u64,
-    stream: u64,
-    deadline: Option<Instant>,
-    enqueued: Instant,
-    obs: Vec<f32>,
-    reply: Arc<ReplySink>,
-}
-
-/// Worker restart backoff after the first panic, milliseconds; doubles per
-/// consecutive panic.
-const RESTART_BACKOFF_MS: u64 = 10;
-
-/// Restart backoff ceiling, milliseconds.
-const RESTART_BACKOFF_CAP_MS: u64 = 500;
-
-/// The shard thread body: serve until shutdown, restarting the serving
-/// loop with exponential backoff whenever it panics. The queue receiver
-/// outlives the panic, so in-flight requests survive worker crashes.
-pub(crate) fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>) {
-    let mut backoff_ms = RESTART_BACKOFF_MS;
-    loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| serve_loop(index, &rx, &shared)));
-        match outcome {
-            Ok(()) => return,
-            Err(_) => {
-                shared.slot(index).panics += 1;
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(backoff_ms));
-                backoff_ms = (backoff_ms * 2).min(RESTART_BACKOFF_CAP_MS);
-                shared.slot(index).restarts += 1;
-            }
-        }
-    }
-}
-
-fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
-    let mut state = ShardState::fresh(index, shared);
-    let sweep_every = shared.cfg.sweep_every.max(1);
-    let checkpoint_every = shared.cfg.checkpoint_every;
-    loop {
-        state.maybe_swap_bundle(shared);
-        let first = match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    state.drain(shared);
-                    return;
-                }
-                // Idle interval: advance the clock, sweep, and publish what
-                // the sweep changed and any buffered journal records.
-                state.tick += 1;
-                if state.tick % sweep_every == 0 {
-                    state.sweep(shared);
-                }
-                state.flush_stats(shared);
-                state.flush_persist(shared);
-                if checkpoint_every > 0 && state.tick % checkpoint_every == 0 {
-                    state.checkpoint(shared);
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                state.drain(shared);
-                return;
-            }
-        };
-        let mut batch: Vec<DecideReq> = Vec::with_capacity(BATCH_MAX);
-        let mut control: Option<ShardMsg> = None;
-        match first {
-            ShardMsg::Decide {
-                req_id,
-                stream,
-                deadline,
-                enqueued,
-                obs,
-                reply,
-            } => batch.push(DecideReq {
-                req_id,
-                stream,
-                deadline,
-                enqueued,
-                obs,
-                reply,
-            }),
-            other => control = Some(other),
-        }
-        while control.is_none() && batch.len() < BATCH_MAX {
-            match rx.try_recv() {
-                Ok(ShardMsg::Decide {
-                    req_id,
-                    stream,
-                    deadline,
-                    enqueued,
-                    obs,
-                    reply,
-                }) => batch.push(DecideReq {
-                    req_id,
-                    stream,
-                    deadline,
-                    enqueued,
-                    obs,
-                    reply,
-                }),
-                Ok(other) => control = Some(other),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
-        }
-        if !batch.is_empty() {
-            state.tick += 1;
-            state.process_batch(shared, batch);
-            if state.tick % sweep_every == 0 {
-                state.sweep(shared);
-            }
-            if checkpoint_every > 0 && state.tick % checkpoint_every == 0 {
-                state.checkpoint(shared);
-            }
-        }
-        match control {
-            Some(ShardMsg::Shutdown) => {
-                state.drain(shared);
-                return;
-            }
-            Some(ShardMsg::Crash) => panic!("injected chaos crash"),
-            Some(ShardMsg::Hold { ms }) => {
-                std::thread::sleep(Duration::from_millis(ms as u64));
-            }
-            Some(ShardMsg::Decide { .. }) | None => {}
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::ServeConfig;
-    use crate::metrics::ServeMetrics;
+    use lahd_core::{Pipeline, PipelineConfig};
     use lahd_guard::BaselineProfile;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-    use std::sync::Mutex;
-
-    fn shared() -> SharedState {
-        let (cfg, dir) = crate::bundle::tests::tiny();
-        let bundle = ServeBundle::load(cfg, dir).expect("tiny artifacts serve");
-        SharedState {
-            cfg: ServeConfig::default(),
-            pipeline_cfg: cfg.clone(),
-            bundle: Mutex::new(Arc::new(bundle)),
-            generation: AtomicU64::new(0),
-            metrics: ServeMetrics::default(),
-            stats: vec![Mutex::new(ShardStats::default())],
-            shutdown: AtomicBool::new(false),
-            recover_shards: Vec::new(),
-        }
-    }
+    use rand::prelude::*;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::OnceLock;
+    use std::time::Duration;
 
     /// Observations spread `spread` interquartile ranges around each
     /// dimension's band: wide enough that the tiny nets answer several
@@ -1496,8 +1244,9 @@ mod tests {
     /// with rows at different serving tiers sharing each replay.
     #[test]
     fn batched_window_replay_matches_each_guards_own_replay() {
-        let shared = shared();
-        let mut shard = ShardState::fresh(0, &shared);
+        let (cfg, dir) = crate::bundle::tests::tiny();
+        let bundle = ServeBundle::load(cfg, dir).expect("tiny artifacts serve");
+        let mut shard = ShardCore::new(Arc::new(bundle), &ServeConfig::default(), false);
         let bundle = shard.bundle.clone();
         let spreads = [2.0, 4.0, 6.0, 8.0, 12.0, 3.0];
         let mut own: Vec<ResidentStream> = (0..spreads.len() as u64)
@@ -1571,6 +1320,379 @@ mod tests {
                     .collect()
             };
             assert_eq!(steps(&a), steps(&b), "stream {k}");
+        }
+    }
+
+    /// The seed-22 tiny bundle, trained once per test binary and built in
+    /// memory. Its machine answers several actions, so a core that lost a
+    /// cursor cannot match the reference by chance.
+    fn bundle22() -> Arc<ServeBundle> {
+        static BUNDLE: OnceLock<Arc<ServeBundle>> = OnceLock::new();
+        BUNDLE
+            .get_or_init(|| {
+                let cfg = PipelineConfig {
+                    seed: 22,
+                    ..PipelineConfig::tiny()
+                };
+                let artifacts = Pipeline::new(cfg.clone()).run();
+                let bundle = ServeBundle::from_artifacts(cfg, artifacts);
+                Arc::new(bundle.expect("seed-22 tiny artifacts serve"))
+            })
+            .clone()
+    }
+
+    /// Streams the simulation draws requests for: more than the table
+    /// holds, so admission sheds while the arena is short.
+    const SIM_STREAMS: u64 = 24;
+    const SIM_MAX_STREAMS: usize = 12;
+    const SIM_SEEDS: usize = 64;
+    const SIM_OPS: u64 = 300;
+
+    /// One slot per simulated stream: `Some` for each stream held.
+    type Cursors = Vec<Option<CompiledCursor>>;
+
+    /// The reference model: one always-resident cursor per stream the core
+    /// holds, stepped on every observation the core served to that stream.
+    struct Reference {
+        compiled: Arc<CompiledFsm>,
+        scratch: CompiledScratch,
+        cursors: Cursors,
+    }
+
+    impl Reference {
+        /// Steps `stream`'s cursor, starting it fresh if the core did not
+        /// hold the stream, and returns its action.
+        fn step(&mut self, stream: u64, obs: &[f32]) -> usize {
+            let compiled = &self.compiled;
+            let cursor =
+                self.cursors[stream as usize].get_or_insert_with(|| CompiledCursor::new(compiled));
+            cursor.apply(compiled.step(obs, cursor.state(), &mut self.scratch))
+        }
+    }
+
+    /// What a crash leaves behind: the last checkpoint image and the
+    /// journal records since it, with the reference cursors at the image.
+    struct Disk {
+        image: CheckpointImage,
+        journal: Vec<(u8, u64)>,
+        at_image: Cursors,
+    }
+
+    impl Disk {
+        /// Appends `fx`'s journal records, as the shard thread does, and
+        /// takes its checkpoint image.
+        fn log(&mut self, fx: &mut Effects) -> Option<CheckpointImage> {
+            self.journal.extend_from_slice(&fx.journal);
+            fx.checkpoint.take()
+        }
+
+        /// Keeps a new image in place of the last one and its journal. It
+        /// must hold each stream the core holds but not resident, once, at
+        /// its reference cursor, and no other.
+        fn keep(&mut self, image: CheckpointImage, core: &ShardCore, reference: &Reference) {
+            self.at_image = vec![None; SIM_STREAMS as usize];
+            let records = image.table.chunks_exact(REC_BYTES);
+            for rec in records.chain(image.arena.chunks_exact(REC_BYTES)) {
+                let (key, stream) = CompactStream::deserialize(rec);
+                let cursor = reference.cursors[key as usize].as_ref();
+                let cursor = cursor.expect("an imaged stream is held");
+                assert_eq!(stream.cursor.save(), cursor.save(), "stream {key} imaged");
+                let twice = self.at_image[key as usize].replace(cursor.clone());
+                assert!(twice.is_none(), "stream {key} imaged twice");
+            }
+            for (key, held) in reference.cursors.iter().enumerate() {
+                let resident = where_is(core, key as u64).starts_with("resident");
+                let imaged = self.at_image[key].is_some();
+                assert_eq!(imaged, held.is_some() && !resident, "stream {key} imaged");
+            }
+            self.image = image;
+            self.journal.clear();
+        }
+
+        /// Restores the image and the journal since it into `core`, a fresh
+        /// core, and rolls the reference back with it: an imaged stream to
+        /// its cursor at the image, a journaled admit to a fresh cursor.
+        fn recover(&self, core: &mut ShardCore, reference: &mut Reference) -> ShardStats {
+            let counts = core.recover(RecoveredShard {
+                tick: self.image.tick,
+                table: self.image.table.clone(),
+                arena: self.image.arena.clone(),
+                wal_ops: self.journal.clone(),
+                ..RecoveredShard::default()
+            });
+            reference.cursors = self.at_image.clone();
+            for &(op, key) in &self.journal {
+                let cursor = &mut reference.cursors[key as usize];
+                if op == WAL_ADMIT {
+                    cursor.get_or_insert_with(|| CompiledCursor::new(&reference.compiled));
+                } else {
+                    *cursor = None;
+                }
+            }
+            let held = reference.cursors.iter().flatten().count();
+            assert_eq!(counts.recovered_streams, held as u64);
+            assert_eq!(counts.journal_ops, self.journal.len() as u64);
+            counts
+        }
+    }
+
+    /// A request for one of [`SIM_STREAMS`] streams. Observations sit in
+    /// the baseline's interquartile band, except that every third stream
+    /// leaves the band often enough for triage to promote it; now and then
+    /// a request is malformed, non-finite, or expired before `now`.
+    fn request(bundle: &ServeBundle, rng: &mut SmallRng, req_id: u64, now: Instant) -> Decide {
+        let stream = if rng.gen_bool(0.4) {
+            3 * rng.gen_range(0..2)
+        } else {
+            rng.gen_range(0..SIM_STREAMS)
+        };
+        let mut obs: Vec<f32> = (bundle.baseline.dims.iter())
+            .map(|d| (d.p25 + (d.p75 - d.p25) * rng.gen::<f64>()) as f32)
+            .collect();
+        if stream % 3 == 0 && rng.gen_bool(0.5) {
+            let dim = rng.gen_range(0..obs.len());
+            let hi = bundle.band[dim].1;
+            obs[dim] = hi + 1.0 + hi.abs();
+        }
+        let mut deadline = None;
+        match rng.gen_range(0..32) {
+            0 => drop(obs.pop()),
+            1 => obs[0] = f32::NAN,
+            2 => deadline = Some(now - Duration::from_micros(1)),
+            3 => deadline = Some(now + Duration::from_secs(1)),
+            _ => {}
+        }
+        Decide {
+            req_id,
+            stream,
+            deadline,
+            obs,
+        }
+    }
+
+    /// Where `key` lives in `core`, with its whole state there.
+    fn where_is(core: &ShardCore, key: u64) -> String {
+        match core.streams.lookup(key).and_then(|r| core.streams.get(r)) {
+            Some(StreamEntry::Compact(c)) => format!("compact {c:?} at {}", c.last_tick),
+            Some(StreamEntry::Resident(r)) => format!(
+                "resident {} {} {} {}",
+                r.decisions,
+                r.resident_decisions,
+                r.last_tick,
+                r.guard.steps()
+            ),
+            None if core.arena.contains(key) => "hibernated".to_string(),
+            None => "absent".to_string(),
+        }
+    }
+
+    /// Each stream the reference holds is in exactly one of compact,
+    /// resident or hibernated, the core holds no other, and the gauges
+    /// equal the table and arena counts.
+    fn check_membership(core: &mut ShardCore, reference: &Reference) {
+        let (mut compact, mut resident) = (0, 0);
+        let mut places = vec![0u8; SIM_STREAMS as usize];
+        for pos in 0..core.streams.slot_span() {
+            let Some(key) = core.streams.key_at_clock(pos) else {
+                continue;
+            };
+            match core.streams.lookup(key).and_then(|r| core.streams.get(r)) {
+                Some(StreamEntry::Compact(_)) => compact += 1,
+                Some(StreamEntry::Resident(_)) => resident += 1,
+                None => unreachable!("a clock position names a live key"),
+            }
+            places[key as usize] += 1;
+        }
+        let mut parked = Vec::new();
+        core.arena.snapshot_into(&mut parked);
+        for rec in parked.chunks_exact(REC_BYTES) {
+            places[u64::from_le_bytes(rec[..8].try_into().unwrap()) as usize] += 1;
+        }
+        for (key, cursor) in reference.cursors.iter().enumerate() {
+            assert_eq!(places[key], cursor.is_some() as u8, "stream {key}: places");
+        }
+        let gauges = core.fold();
+        assert_eq!(
+            (gauges.compact, gauges.resident, gauges.hibernated),
+            (compact, resident, (parked.len() / REC_BYTES) as u64),
+            "gauges"
+        );
+    }
+
+    /// Serves `batch` and checks its replies: one per request, echoing
+    /// its id; every FSM-tier answer equal to the reference, which steps
+    /// on every guarded decision; sheds only at a full table; shed,
+    /// deadline and error answers leaving their stream untouched. Returns
+    /// the number of error replies.
+    fn decide(
+        core: &mut ShardCore,
+        reference: &mut Reference,
+        disk: &mut Disk,
+        batch: &[Decide],
+        now: Instant,
+        seen: &mut ShardStats,
+    ) -> u64 {
+        let before: Vec<String> = batch.iter().map(|r| where_is(core, r.stream)).collect();
+        let fx = core.decide(batch, now);
+        assert_eq!(fx.replies.len(), batch.len(), "a reply per request");
+        let mut answers: Vec<Option<&Reply>> = vec![None; batch.len()];
+        for reply in &fx.replies {
+            assert!(answers[reply.at].replace(reply).is_none(), "one reply");
+        }
+        let (mut served, mut errors) = (vec![false; SIM_STREAMS as usize], 0);
+        let mut shed = false;
+        for (req, reply) in batch.iter().zip(answers) {
+            let reply = reply.expect("every request answered");
+            let Response::Decision {
+                req_id,
+                action,
+                tier,
+                source,
+            } = reply.resp
+            else {
+                assert!(matches!(reply.resp, Response::Err(_)));
+                assert_eq!(reply.served, None);
+                errors += 1;
+                continue;
+            };
+            assert_eq!(req_id, req.req_id);
+            if source != Source::Guarded as u8 {
+                assert_eq!((reply.served, tier as usize), (None, TIER_BASELINE));
+                shed |= source == Source::Shed as u8;
+                continue;
+            }
+            assert_eq!(reply.served, Some(tier as usize));
+            served[req.stream as usize] = true;
+            let want = reference.step(req.stream, &req.obs);
+            if tier as usize == TIER_FSM {
+                assert_eq!(action as usize, want, "stream {}", req.stream);
+            }
+            seen.tier_decisions[tier as usize] += 1;
+        }
+        seen.add(fx.stats.as_ref().expect("a batch folds"));
+        assert!(disk.log(fx).is_none(), "a batch makes no image");
+        if shed {
+            assert_eq!(core.streams.len(), SIM_MAX_STREAMS, "shed below capacity");
+        }
+        for (req, was) in batch.iter().zip(&before) {
+            if !served[req.stream as usize] {
+                assert_eq!(&where_is(core, req.stream), was, "untouched");
+            }
+        }
+        errors
+    }
+
+    /// One seeded run of [`SIM_OPS`] operations: decided batches, idle
+    /// ticks, and crashes recovered from the last image and its journal.
+    /// Returns every count the cores folded, with the guarded decisions
+    /// per tier and crashes as restarts, and the error replies, for the
+    /// coverage check.
+    fn simulate(seed: u64, audits: bool) -> (ShardStats, u64) {
+        let bundle = bundle22();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cfg = ServeConfig {
+            max_streams: SIM_MAX_STREAMS,
+            audit_every: if audits { 32 } else { 0 },
+            hibernate_after: rng.gen_range(1..=2),
+            sweep_every: 1,
+            checkpoint_every: rng.gen_range(2..=6),
+            ..ServeConfig::default()
+        };
+        let mut core = ShardCore::new(bundle.clone(), &cfg, true);
+        let compiled = bundle.compiled.clone().expect("the tiny machine lowers");
+        let mut reference = Reference {
+            scratch: compiled.make_scratch(),
+            compiled,
+            cursors: vec![None; SIM_STREAMS as usize],
+        };
+        let mut disk = Disk {
+            image: core.checkpoint().expect("a durable core images"),
+            journal: Vec::new(),
+            at_image: vec![None; SIM_STREAMS as usize],
+        };
+        let (mut seen, mut errors) = (ShardStats::default(), 0);
+        let t0 = Instant::now();
+        for op in 0..SIM_OPS {
+            let now = t0 + Duration::from_millis(op + 1);
+            let image = match rng.gen_range(0..60) {
+                0..=23 => {
+                    let n = rng.gen_range(1..=BATCH_MAX);
+                    let batch: Vec<Decide> = (0..n as u64)
+                        .map(|i| request(&bundle, &mut rng, op * 16 + i, now))
+                        .collect();
+                    let (c, r, d) = (&mut core, &mut reference, &mut disk);
+                    errors += decide(c, r, d, &batch, now, &mut seen);
+                    disk.log(core.tick(false))
+                }
+                24..=58 => {
+                    let fx = core.tick(true);
+                    seen.add(fx.stats.as_ref().expect("an idle tick folds"));
+                    disk.log(fx)
+                }
+                _ => {
+                    core = ShardCore::new(bundle.clone(), &cfg, true);
+                    seen.add(&disk.recover(&mut core, &mut reference));
+                    seen.restarts += 1;
+                    None
+                }
+            };
+            if let Some(image) = image {
+                disk.keep(image, &core, &reference);
+            }
+            check_membership(&mut core, &reference);
+        }
+        (seen, errors)
+    }
+
+    /// Deterministic simulation of one core against the reference model,
+    /// with no daemon, socket or file: seeded runs of batches (repeats in
+    /// a drain, out-of-band streams that triage promotes, malformed,
+    /// non-finite and expired requests, sheds at a full table), idle ticks
+    /// that hibernate and wake streams, and crashes recovered from the
+    /// last checkpoint image plus its journal, with audits off for half the
+    /// seeds and on for the other half. After every operation: each
+    /// FSM-tier answer equals the reference, a reply answers each request,
+    /// shed, deadline and error answers leave their stream untouched, each
+    /// stream is in exactly one of compact, resident or hibernated, and
+    /// the gauges equal the table and arena counts.
+    #[test]
+    fn shard_core_matches_the_reference_model() {
+        let mut seeds = proptest::test_runner::deterministic_rng("shard_core_simulation");
+        let (mut seen, mut errors) = (ShardStats::default(), 0);
+        for case in 0..SIM_SEEDS {
+            let seed = seeds.next_u64();
+            match catch_unwind(AssertUnwindSafe(|| simulate(seed, case % 2 == 1))) {
+                Ok((counts, errs)) => {
+                    seen.add(&counts);
+                    errors += errs;
+                }
+                Err(payload) => {
+                    eprintln!("simulation seed {seed:#x} (case {case}) failed");
+                    resume_unwind(payload);
+                }
+            }
+        }
+        // The op mix reached every transition it is meant to.
+        let coverage = [
+            ("fsm answers", seen.tier_decisions[TIER_FSM]),
+            (
+                "net answers",
+                seen.tier_decisions[TIER_QUANT] + seen.tier_decisions[TIER_EXACT],
+            ),
+            ("errors", errors),
+            ("deadlines", seen.deadline_misses),
+            ("sheds", seen.shed),
+            ("materializations", seen.materializations),
+            ("audits", seen.audits),
+            ("releases", seen.releases),
+            ("hibernates", seen.hibernates),
+            ("wakes", seen.wakes),
+            ("crashes", seen.restarts),
+            ("recovered streams", seen.recovered_streams),
+            ("journal ops", seen.journal_ops),
+        ];
+        for (what, n) in coverage {
+            assert!(n > 0, "no {what} in {SIM_SEEDS} seeds");
         }
     }
 }

@@ -33,6 +33,18 @@ fn start_daemon(socket: &Path) -> HostedDaemon {
     HostedDaemon::in_process(cfg, dir, chaos_serve_cfg(), socket).expect("daemon must start")
 }
 
+/// The seed-22 chaos summary of [`chaos_bench_cfg`], byte for byte. Serving
+/// changes that mean to keep every answer leave it alone; a deliberate
+/// behaviour change regenerates it and says why.
+const CHAOS_JSON: &str = concat!(
+    "{\"seed\":7,\"streams\":8,\"rounds\":24,",
+    "\"plan\":\"kill shard 0@r6, burst x10@r12 (hold 100ms), corrupt-reload@r18\",",
+    "\"requests\":265,\"responses\":265,\"prechaos_checksum\":\"0x361bd59a39adaae6\",",
+    "\"prechaos_distinct_actions\":3,\"daemon_alive\":true,\"shard_recovered\":true,",
+    "\"reload_rejected\":true,\"generation_unchanged\":true,\"shed_observed\":true,",
+    "\"deadline_fallback\":true}"
+);
+
 fn chaos_bench_cfg(corrupt_dir: PathBuf) -> BenchConfig {
     let rounds = 24;
     BenchConfig {
@@ -96,6 +108,7 @@ fn chaos_plan_is_survived_and_reproducible() {
         jsons[0], jsons[1],
         "same-seed chaos runs must produce identical JSON summaries"
     );
+    assert_eq!(jsons[0], CHAOS_JSON, "the pinned chaos summary moved");
 }
 
 #[test]

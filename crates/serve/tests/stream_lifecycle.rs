@@ -12,13 +12,15 @@
 mod common;
 
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use common::artifacts;
 use lahd_fsm::CompiledCursor;
+use lahd_serve::persist::recover_shard;
 use lahd_serve::{
     load_profile, lockstep_round, prepare_corrupt_candidate, run_bench, run_streams_sweep,
-    BenchConfig, ChaosPlan, CompactStream, HibernationArena, HostedDaemon, ServeBundle,
-    ServeConfig,
+    BenchConfig, ChaosPlan, CompactStream, HibernationArena, HostedDaemon, Request, Response,
+    ServeBundle, ServeConfig, REC_BYTES,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -245,6 +247,79 @@ fn durable_restart_resumes_streams_bit_identically() {
         resumed, expected,
         "recovered streams must serve byte-identical actions"
     );
+}
+
+/// Every shard start that does not recover writes its fresh core's empty
+/// checkpoint before serving. Otherwise the earlier lineage's image stays
+/// on disk beside the new lineage's journal, and a later recovery would
+/// restore cursors the live shard had already discarded. One shard, and no
+/// periodic checkpoint that would hide a stale image.
+#[test]
+fn starts_that_do_not_recover_replace_the_durable_image() {
+    let (pcfg, dir) = artifacts();
+    let profile = load_profile(dir).unwrap();
+    let streams = 8u64;
+    let state = std::env::temp_dir().join("lahd_lifecycle_fresh_start_state");
+    let _ = std::fs::remove_dir_all(&state);
+    let durable = ServeConfig {
+        shards: 1,
+        audit_every: 0,
+        state_dir: Some(state.clone()),
+        checkpoint_every: 0,
+        ..ServeConfig::default()
+    };
+    let start = |name: &str, cfg: ServeConfig| {
+        let socket = std::env::temp_dir().join(format!("lahd_lifecycle_fresh_{name}.sock"));
+        HostedDaemon::in_process(pcfg, dir, cfg, &socket).unwrap()
+    };
+    let answer_round = |daemon: &HostedDaemon, round: u64| {
+        let mut client = daemon.connect().unwrap();
+        let answers = lockstep_round(&mut client, &profile, 9, streams, round, streams).unwrap();
+        assert_eq!(answers.len() as u64, streams);
+    };
+    let table_records = || recover_shard(&state, 0).table.len() / REC_BYTES;
+
+    // A drained daemon images every stream.
+    let daemon = start("warm", durable.clone());
+    answer_round(&daemon, 0);
+    assert!(daemon.shutdown().unwrap());
+    assert_eq!(table_records(), streams as usize);
+
+    // Recover that image, serve, then crash the shard: the restarted core
+    // starts fresh, so the recovered lineage's image must go.
+    let recovering = ServeConfig {
+        recover: true,
+        allow_chaos: true,
+        ..durable.clone()
+    };
+    let daemon = start("recover", recovering);
+    answer_round(&daemon, 1);
+    assert_eq!(daemon.stats().unwrap().recovered_streams, streams);
+    let crashed = daemon.connect().unwrap().call(&Request::Crash { shard: 0 });
+    assert_eq!(crashed.unwrap(), Response::Ok);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.stats().unwrap().restarts == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the crashed shard never restarted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(daemon.stats().unwrap().restarts, 1);
+    answer_round(&daemon, 2);
+    assert_eq!(table_records(), 0, "a panic restart kept the stale image");
+    assert!(daemon.shutdown().unwrap());
+    assert_eq!(table_records(), streams as usize);
+
+    // A boot without recovery over that state starts fresh the same way.
+    let daemon = start("fresh", durable);
+    answer_round(&daemon, 3);
+    assert_eq!(
+        table_records(),
+        0,
+        "a boot without recovery kept the stale image"
+    );
+    assert!(daemon.shutdown().unwrap());
 }
 
 #[test]
