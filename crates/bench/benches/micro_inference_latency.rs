@@ -236,6 +236,28 @@ fn bench_inference(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(obs_qbn.encode(&obs_vec)))
     });
 
+    // One 128-wide row of exact tanh, as every exact GRU-128 candidate
+    // gate evaluates it: the vectorised kernel against libm's scalar
+    // `tanhf`, which it matches bit for bit.
+    let pre: Vec<f32> = (0..128).map(|i| (i as f32 * 0.731).sin() * 3.0).collect();
+    let mut row = pre.clone();
+    group.bench_function("tanh_exact_row128", |b| {
+        b.iter(|| {
+            row.copy_from_slice(std::hint::black_box(&pre));
+            lahd_nn::tanh_exact_slice(&mut row);
+            std::hint::black_box(&row);
+        })
+    });
+    group.bench_function("tanh_libm_row128", |b| {
+        b.iter(|| {
+            row.copy_from_slice(std::hint::black_box(&pre));
+            for v in &mut row {
+                *v = v.tanh();
+            }
+            std::hint::black_box(&row);
+        })
+    });
+
     // Handcrafted rule: a handful of comparisons.
     let mut handcrafted = HandcraftedFsm::tuned();
     group.bench_function("handcrafted_rule", |b| {

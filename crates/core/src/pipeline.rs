@@ -457,7 +457,8 @@ impl Pipeline {
     /// as [`A2cConfig::pool_size`] gives for `config.a2c` and the trace
     /// count. The replays go in rounds of one episode per worker, last
     /// episodes first, and each round's tapes are folded (see
-    /// `Graph::fold_param_grads_into`) before the next round reuses them.
+    /// `Graph::fold_param_grad_into`), one parameter per job on the same
+    /// workers, before the next round reuses them.
     /// The loss is the mean over every step of every episode. Its value
     /// and the QBN gradients are folded in the order of one tape recording
     /// the episodes back to back, so every pool size gives the same bits.
@@ -481,7 +482,13 @@ impl Pipeline {
             traces.iter().map(|_| Default::default()).collect();
         let mut step_losses: Vec<Vec<f32>> = vec![Vec::new(); traces.len()];
         let mut tapes: Vec<Graph> = (0..workers).map(|_| Graph::new()).collect();
-        let (mut obs_grads, mut hid_grads) = (Vec::new(), Vec::new());
+        let zeros = |store: &lahd_nn::ParamStore| -> Vec<(lahd_nn::ParamId, Matrix)> {
+            store
+                .iter()
+                .map(|(id, p)| (id, Matrix::zeros(p.value.rows(), p.value.cols())))
+                .collect()
+        };
+        let (mut obs_grads, mut hid_grads) = (zeros(&obs_qbn.store), zeros(&hidden_qbn.store));
 
         for epoch in 0..c.finetune_epochs {
             // 1. On-policy collection: student acts, teacher labels.
@@ -496,8 +503,9 @@ impl Pipeline {
             // tape `j` replaying episode `hi - 1 - j`.
             let steps: usize = episodes.iter().map(|e| e.labels.len()).sum();
             let inv_steps = 1.0 / steps.max(1) as f32;
-            obs_grads.clear();
-            hid_grads.clear();
+            for (_, g) in obs_grads.iter_mut().chain(hid_grads.iter_mut()) {
+                g.fill_zero();
+            }
             let mut hi = episodes.len();
             while hi > 0 {
                 let lo = hi.saturating_sub(workers);
@@ -516,10 +524,18 @@ impl Pipeline {
                         step_losses,
                     );
                 });
-                for tape in &tapes[..hi - lo] {
-                    tape.fold_param_grads_into(&obs_ref.store, &mut obs_grads);
-                    tape.fold_param_grads_into(&hid_ref.store, &mut hid_grads);
-                }
+                // Each parameter folds the round's tapes in order on one
+                // worker; parameters are independent, so they share the pool.
+                let round = &tapes[..hi - lo];
+                let params = obs_grads
+                    .iter_mut()
+                    .map(|p| (&obs_ref.store, p))
+                    .chain(hid_grads.iter_mut().map(|p| (&hid_ref.store, p)));
+                drain_on_pool(workers, params, |(store, (id, g))| {
+                    for tape in round {
+                        tape.fold_param_grad_into(store, *id, g);
+                    }
+                });
                 hi = lo;
             }
             // The one tape's accumulator chain adds the step losses in
@@ -590,7 +606,9 @@ impl Pipeline {
         episode
     }
 
-    /// Fits the observation and hidden-state QBNs on the dataset.
+    /// Fits the observation and hidden-state QBNs on the dataset. The two
+    /// share nothing (each has its own seed and store), so they train side
+    /// by side when the pool has two workers.
     pub fn fit_qbns(&self, dataset: &TransitionDataset) -> (Qbn, Qbn) {
         let c = &self.config;
         let mut obs_qbn = Qbn::new(
@@ -601,8 +619,17 @@ impl Pipeline {
             QbnConfig::with_dims(dataset.hidden_dim(), c.hidden_latent),
             c.seed ^ 0x41D,
         );
-        obs_qbn.train(&dataset.observations(), &c.qbn_train);
-        hid_qbn.train(&dataset.hidden_states(), &c.qbn_train);
+        let fits = [
+            (&mut hid_qbn, dataset.hidden_states()),
+            (&mut obs_qbn, dataset.observations()),
+        ];
+        drain_on_pool(
+            c.a2c.pool_size(fits.len()),
+            fits.into_iter(),
+            |(qbn, rows)| {
+                qbn.train(&rows, &c.qbn_train);
+            },
+        );
         (obs_qbn, hid_qbn)
     }
 

@@ -75,13 +75,19 @@ pub fn extract_fsm(
         &mut states,
     );
 
+    // Within an episode a row's `hidden` is the previous row's
+    // `next_hidden`; when the bits agree, so does the state.
+    let mut previous: Option<(&[f32], usize)> = None;
     for row in dataset.rows() {
-        let s = intern_state(
-            hidden_qbn.encode(&row.hidden),
-            &mut action_votes,
-            &mut state_support,
-            &mut states,
-        );
+        let s = match previous {
+            Some((h, s)) if same_bits(h, &row.hidden) => s,
+            _ => intern_state(
+                hidden_qbn.encode(&row.hidden),
+                &mut action_votes,
+                &mut state_support,
+                &mut states,
+            ),
+        };
         let s_next = intern_state(
             hidden_qbn.encode(&row.next_hidden),
             &mut action_votes,
@@ -97,6 +103,8 @@ pub fn extract_fsm(
             *acc += f64::from(v);
         }
         symbol_count[o] += 1;
+
+        previous = Some((&row.next_hidden, s_next));
 
         // The action is emitted from h_{t+1}, i.e. from the successor state.
         *action_votes[s_next].entry(row.action).or_insert(0) += 1;
@@ -157,6 +165,11 @@ pub fn extract_fsm(
     };
     debug_assert!(fsm.validate().is_ok());
     fsm
+}
+
+/// Whether two vectors hold the same f32 bit patterns.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]

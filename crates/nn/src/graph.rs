@@ -28,7 +28,7 @@
 //!
 //! Because a fold is an ascending sum from its starting value, folding
 //! several tapes' staged rows one tape after another equals folding their
-//! concatenation: [`Graph::fold_param_grads_into`] uses this to give
+//! concatenation: [`Graph::fold_param_grad_into`] uses this to give
 //! per-episode tapes, replayed on separate threads, the gradients of the
 //! single tape that recorded the episodes back to back.
 
@@ -37,6 +37,7 @@ use std::collections::HashMap;
 
 use lahd_tensor::{softmax_row, Matrix};
 
+use crate::activations::{tanh_exact_slice, ternary_tanh_slice, ternary_tanh_slope_slice};
 use crate::params::{ParamId, ParamStore};
 
 /// Handle to a node on the tape.
@@ -465,10 +466,10 @@ impl Graph {
         self.push(Op::Sigmoid(x), value)
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent (the exact kernel: `f32::tanh`'s bits).
     pub fn tanh(&mut self, x: Var) -> Var {
         let mut value = self.alloc_copy_of(x);
-        value.map_inplace(f32::tanh);
+        tanh_exact_slice(value.as_mut_slice());
         self.push(Op::Tanh(x), value)
     }
 
@@ -482,7 +483,7 @@ impl Graph {
     /// Ternary tanh `1.5·tanh(x) + 0.5·tanh(-3x)` (saturates near {-1,0,1}).
     pub fn ternary_tanh(&mut self, x: Var) -> Var {
         let mut value = self.alloc_copy_of(x);
-        value.map_inplace(ternary_tanh);
+        ternary_tanh_slice(value.as_mut_slice());
         self.push(Op::TernaryTanh(x), value)
     }
 
@@ -680,13 +681,13 @@ impl Graph {
                     self.accumulate(x, dx);
                 }
                 Op::TernaryTanh(x) => {
+                    // dx = g·1.5·(tanh(3v)² − tanh(v)²).
                     let x = *x;
-                    let mut dx = self.alloc_matrix_full(gy.rows(), gy.cols());
-                    gy.zip_map_into(&self.values[x.0], &mut dx, |g, v| {
-                        let t1 = v.tanh();
-                        let t3 = (3.0 * v).tanh();
-                        g * 1.5 * (t3 * t3 - t1 * t1)
-                    });
+                    let mut dx = self.alloc_copy_of(x);
+                    ternary_tanh_slope_slice(dx.as_mut_slice());
+                    for (d, &g) in dx.as_mut_slice().iter_mut().zip(gy.as_slice()) {
+                        *d *= g * 1.5;
+                    }
                     self.accumulate(x, dx);
                 }
                 Op::QuantizeSte(x) => {
@@ -889,40 +890,30 @@ impl Graph {
         flushed
     }
 
-    /// Adds this tape's gradients of the parameters bound *from this
-    /// store* into `acc`, continuing a fold across tapes: an entry is found
-    /// by id, or appended as zeros the first time a parameter is seen.
+    /// Adds this tape's gradient of parameter `id` of `store` into `acc`,
+    /// continuing a fold across tapes; a tape that never bound the
+    /// parameter adds nothing.
     ///
-    /// A staged parameter's rows are folded onto the entry's running sum.
-    /// So calling this on several tapes in backward order (the tape that
-    /// would have been recorded last goes first) and adding `acc` to a
-    /// zeroed store gives, for a parameter every tape stages, the bits of
-    /// one tape holding all the forward passes back to back, provided
-    /// each tape's root was seeded the way the single tape's gradient
-    /// reached it. A parameter this tape accumulates eagerly adds its
-    /// total instead: the same sum, rounded per tape.
-    pub fn fold_param_grads_into(&self, store: &ParamStore, acc: &mut Vec<(ParamId, Matrix)>) {
-        let addr = store_addr(store);
-        for (slot, b) in self
-            .bound
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.store == addr)
-        {
-            let pos = match acc.iter().position(|(id, _)| *id == b.id) {
-                Some(pos) => pos,
-                None => {
-                    let (rows, cols) = self.values[b.var.0].shape();
-                    acc.push((b.id, Matrix::zeros(rows, cols)));
-                    acc.len() - 1
-                }
-            };
-            let g = &mut acc[pos].1;
-            if b.staged() {
-                self.fold_staged(slot, g);
-            } else if let Some(eager) = &self.grads[b.var.0] {
-                g.add_assign(eager);
-            }
+    /// A staged parameter's rows are folded onto `acc`'s running sum. So
+    /// calling this on several tapes in backward order (the tape that
+    /// would have been recorded last goes first), starting from zeros,
+    /// gives, for a parameter every tape stages, the bits of one tape
+    /// holding all the forward passes back to back, provided each tape's
+    /// root was seeded the way the single tape's gradient reached it. A
+    /// parameter this tape accumulates eagerly adds its total instead: the
+    /// same sum, rounded per tape. Parameters fold independently, so
+    /// different parameters may fold on different threads.
+    pub fn fold_param_grad_into(&self, store: &ParamStore, id: ParamId, acc: &mut Matrix) {
+        let Some(&var) = self.param_cache.get(&(store_addr(store), id)) else {
+            return;
+        };
+        let Op::Param(slot) = self.ops[var.0] else {
+            unreachable!("the parameter cache maps to parameter leaves")
+        };
+        if self.bound[slot].staged() {
+            self.fold_staged(slot, acc);
+        } else if let Some(eager) = &self.grads[var.0] {
+            acc.add_assign(eager);
         }
     }
 
@@ -987,7 +978,9 @@ fn store_addr(store: &ParamStore) -> usize {
     store as *const ParamStore as usize
 }
 
-/// Ternary tanh used by QBN encoders: saturates near {-1, 0, 1}.
+/// Ternary tanh used by QBN encoders: saturates near {-1, 0, 1}. The
+/// scalar reference; rows go through
+/// [`ternary_tanh_slice`](crate::ternary_tanh_slice), which has its bits.
 pub fn ternary_tanh(x: f32) -> f32 {
     1.5 * x.tanh() + 0.5 * (-3.0 * x).tanh()
 }
@@ -1505,11 +1498,19 @@ mod staged_tests {
             net.store.zero_grads();
             prop_assert_eq!(single.accumulate_param_grads(&mut net.store), 4);
             let want = net.ids.map(|id| bits(net.store.grad(id)));
-            let mut acc = Vec::new();
-            for tape in tapes.iter().rev() {
-                tape.fold_param_grads_into(&net.store, &mut acc);
+            let mut acc: Vec<(ParamId, Matrix)> = net
+                .ids
+                .iter()
+                .map(|&id| {
+                    let (rows, cols) = net.store.value(id).shape();
+                    (id, Matrix::zeros(rows, cols))
+                })
+                .collect();
+            for (id, g) in &mut acc {
+                for tape in tapes.iter().rev() {
+                    tape.fold_param_grad_into(&net.store, *id, g);
+                }
             }
-            prop_assert_eq!(acc.len(), 4);
             net.store.zero_grads();
             net.store.add_grads(&acc);
             let got = net.ids.map(|id| bits(net.store.grad(id)));

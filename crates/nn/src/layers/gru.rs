@@ -2,6 +2,7 @@
 
 use lahd_tensor::{Initializer, Matrix, Rng};
 
+use crate::activations::tanh_exact_slice;
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
 
@@ -200,7 +201,7 @@ impl GruCell {
         rh.matmul_into(store.value(self.un), tmp);
         n.add_assign(tmp);
         n.add_row_broadcast(store.value(self.bn));
-        n.map_inplace(f32::tanh);
+        tanh_exact_slice(n.as_mut_slice());
 
         // h' = (1 - z) ∘ n + z ∘ h
         for ((o, &zv), (&nv, &hv)) in out

@@ -36,7 +36,7 @@
 //! * [`Precision::QuantizedFast`]: weights ride the i8 column panels of
 //!   [`PackedGemvWeightsI8`] (4× less weight streaming, per-panel
 //!   dequantization scales) and the gates use the vectorized polynomial
-//!   activations of [`crate::activations`] instead of scalar libm. This
+//!   activations of [`crate::activations`] instead of libm's bits. This
 //!   tier leaves bit-identity for a *measured accuracy contract*: kernel
 //!   error bounds plus end-to-end rollout action-agreement pins (see the
 //!   tensor/nn test suites and the workspace `quantized_agreement` tests).
@@ -51,7 +51,7 @@ use lahd_tensor::{Matrix, PackedGemvWeights, PackedGemvWeightsI8};
 
 use super::gru::{GruCell, GruScratch};
 use super::linear::Linear;
-use crate::activations::{sigmoid_slice, tanh_slice, Precision};
+use crate::activations::{sigmoid_slice, tanh_exact_slice, tanh_slice, Precision};
 use crate::params::ParamStore;
 
 /// Logistic sigmoid, written exactly as the unpacked GRU path computes it
@@ -329,8 +329,8 @@ impl PackedGru {
     }
 
     /// The bit-identical path: one multi-row product per fused gate pack,
-    /// then scalar libm gates per row in exactly the unpacked path's
-    /// association order.
+    /// then the gates per row in exactly the unpacked path's association
+    /// order, the candidate's tanh as one exact slice pass per row.
     fn infer_rows_exact(
         &self,
         store: &ParamStore,
@@ -372,13 +372,17 @@ impl PackedGru {
             let hr = h.row(r);
             let xwn = &scratch.xw.row(r)[2 * hd..];
             let nu = scratch.nu.row(r);
+            let n_row = scratch.n.row_mut(r);
+            for j in 0..hd {
+                // n = tanh(x·Wn + (r∘h)·Un + bn); h' = (1−z)∘n + z∘h.
+                n_row[j] = (xwn[j] + nu[j]) + bn[j];
+            }
+            tanh_exact_slice(n_row);
             let z_row = scratch.z.row(r);
             let out_row = out.row_mut(r);
             for j in 0..hd {
-                // n = tanh(x·Wn + (r∘h)·Un + bn); h' = (1−z)∘n + z∘h.
-                let nv = ((xwn[j] + nu[j]) + bn[j]).tanh();
                 let zv = z_row[j];
-                out_row[j] = (1.0 - zv) * nv + zv * hr[j];
+                out_row[j] = (1.0 - zv) * n_row[j] + zv * hr[j];
             }
         }
     }
@@ -463,8 +467,7 @@ pub struct PackedGruScratch {
     /// `B × 2H` contiguous `[z_pre | r_pre]` staging rows for the quantized
     /// path's single slice-sigmoid pass over both gates.
     zr: Matrix,
-    /// `B × H` candidate pre-activation/value rows for the quantized path's
-    /// slice-tanh pass.
+    /// `B × H` candidate pre-activation/value rows for the slice-tanh pass.
     n: Matrix,
     fallback: GruScratch,
 }
@@ -481,7 +484,7 @@ impl PackedGruScratch {
         if self.hu.shape() != (rows, 2 * hidden) {
             self.hu.reshape_zeroed(rows, 2 * hidden);
         }
-        for m in [&mut self.rh, &mut self.nu] {
+        for m in [&mut self.rh, &mut self.nu, &mut self.n] {
             if m.shape() != (rows, hidden) {
                 m.reshape_zeroed(rows, hidden);
             }
@@ -495,9 +498,6 @@ impl PackedGruScratch {
             Precision::QuantizedFast => {
                 if self.zr.shape() != (rows, 2 * hidden) {
                     self.zr.reshape_zeroed(rows, 2 * hidden);
-                }
-                if self.n.shape() != (rows, hidden) {
-                    self.n.reshape_zeroed(rows, hidden);
                 }
             }
         }

@@ -37,7 +37,10 @@ mod optim;
 mod params;
 mod persist;
 
-pub use activations::{sigmoid_approx, sigmoid_slice, tanh_approx, tanh_slice, Precision};
+pub use activations::{
+    sigmoid_approx, sigmoid_slice, tanh_approx, tanh_exact_slice, tanh_slice, ternary_tanh_slice,
+    Precision,
+};
 pub use gradcheck::{assert_grads_close, grad_check, GradCheckReport};
 pub use graph::{quantize3, ternary_tanh, Graph, Var};
 pub use layers::{GruCell, GruScratch, Linear, PackedGru, PackedGruScratch, PackedLinear};

@@ -6,7 +6,10 @@
 //! for observations (`b_o`) and one for hidden states (`b_h`) — and the
 //! discrete codes define the extracted finite state machine.
 
-use lahd_nn::{quantize3, ternary_tanh, Graph, Linear, PackedLinear, ParamStore, Precision, Var};
+use lahd_nn::{
+    quantize3, tanh_exact_slice, ternary_tanh, ternary_tanh_slice, Graph, Linear, PackedLinear,
+    ParamStore, Precision, Var,
+};
 use lahd_tensor::{seeded_rng, Matrix};
 use rand::seq::SliceRandom;
 
@@ -43,6 +46,27 @@ impl QuantLevels {
                 }
             }
             QuantLevels::Three => quantize3(ternary_tanh(x)) as i8,
+        }
+    }
+
+    /// Quantizes a row of latent pre-activations into `out`: per entry the
+    /// digit [`QuantLevels::quantize`] gives, with the activation computed
+    /// by lahd-nn's exact slice kernels. `pre` is left holding the
+    /// activations.
+    fn quantize_row(self, pre: &mut [f32], out: &mut [i8]) {
+        match self {
+            QuantLevels::Two => {
+                tanh_exact_slice(pre);
+                for (o, &a) in out.iter_mut().zip(pre.iter()) {
+                    *o = if a >= 0.0 { 1 } else { -1 };
+                }
+            }
+            QuantLevels::Three => {
+                ternary_tanh_slice(pre);
+                for (o, &a) in out.iter_mut().zip(pre.iter()) {
+                    *o = quantize3(a) as i8;
+                }
+            }
         }
     }
 }
@@ -232,27 +256,13 @@ impl Qbn {
         self.packed_dec_out.repack(&self.store);
     }
 
-    /// The hidden-layer activation of the packed inference path: exact libm
-    /// tanh by default, the vectorized polynomial kernel on the quantized
-    /// fast tier.
-    fn hidden_activation(&self, h: &mut Matrix) {
-        match self.precision {
-            Precision::Exact => h.map_inplace(f32::tanh),
-            Precision::QuantizedFast => lahd_nn::tanh_slice(h.as_mut_slice()),
-        }
-    }
-
-    /// Slice form of [`Qbn::hidden_activation`] for the single-row fast
-    /// path — identical arithmetic per element, so the two stay
-    /// bit-identical.
+    /// The hidden-layer activation of the packed inference path: the exact
+    /// tanh kernel (libm's bits) by default, the vectorized polynomial
+    /// kernel on the quantized fast tier.
     #[inline]
-    fn hidden_activation_slice(&self, h: &mut [f32]) {
+    fn hidden_activation(&self, h: &mut [f32]) {
         match self.precision {
-            Precision::Exact => {
-                for v in h.iter_mut() {
-                    *v = v.tanh();
-                }
-            }
+            Precision::Exact => tanh_exact_slice(h),
             Precision::QuantizedFast => lahd_nn::tanh_slice(h),
         }
     }
@@ -260,7 +270,7 @@ impl Qbn {
     /// Pre-quantization latent activations for a batch (rows = samples).
     fn latent_preact(&self, x: &Matrix) -> Matrix {
         let mut h = self.packed_enc_in.infer(&self.store, x);
-        self.hidden_activation(&mut h);
+        self.hidden_activation(h.as_mut_slice());
         self.packed_enc_lat.infer(&self.store, &h)
     }
 
@@ -290,7 +300,7 @@ impl Qbn {
         // whole budget here, so the wrapper overhead is measurable.
         self.packed_enc_in
             .infer_row_into(&self.store, x, &mut scratch.h);
-        self.hidden_activation_slice(&mut scratch.h);
+        self.hidden_activation(&mut scratch.h);
         self.packed_enc_lat
             .infer_row_into(&self.store, &scratch.h, &mut scratch.pre);
         &scratch.pre
@@ -313,20 +323,17 @@ impl Qbn {
         );
         assert_eq!(x.cols(), self.cfg.input_dim, "QBN input width mismatch");
         self.packed_enc_in.infer_into(&self.store, x, h);
-        self.hidden_activation(h);
+        self.hidden_activation(h.as_mut_slice());
         self.packed_enc_lat.infer_into(&self.store, h, pre);
     }
 
     /// Encodes an input into its discrete latent code.
     pub fn encode(&self, x: &[f32]) -> crate::codes::Code {
         assert_eq!(x.len(), self.cfg.input_dim, "QBN input width mismatch");
-        let pre = self.latent_preact(&Matrix::row_vector(x));
-        crate::codes::Code(
-            pre.row(0)
-                .iter()
-                .map(|&v| self.cfg.levels.quantize(v))
-                .collect(),
-        )
+        let mut pre = self.latent_preact(&Matrix::row_vector(x));
+        let mut code = vec![0; self.cfg.latent_dim];
+        self.cfg.levels.quantize_row(pre.row_mut(0), &mut code);
+        crate::codes::Code(code)
     }
 
     /// Quantizes an input into a caller-owned code buffer — the same digits
@@ -337,9 +344,7 @@ impl Qbn {
     pub fn encode_into(&self, x: &[f32], scratch: &mut EncodeScratch, out: &mut [i8]) {
         assert_eq!(out.len(), self.cfg.latent_dim, "QBN code width mismatch");
         self.latent_preact_into(x, scratch);
-        for (o, &v) in out.iter_mut().zip(&scratch.pre) {
-            *o = self.cfg.levels.quantize(v);
-        }
+        self.cfg.levels.quantize_row(&mut scratch.pre, out);
     }
 
     /// Decodes a discrete code back to input space.
@@ -347,7 +352,7 @@ impl Qbn {
         assert_eq!(code.len(), self.cfg.latent_dim, "QBN code width mismatch");
         let z = Matrix::row_vector(&code.to_f32());
         let mut h = self.packed_dec_hid.infer(&self.store, &z);
-        self.hidden_activation(&mut h);
+        self.hidden_activation(h.as_mut_slice());
         self.packed_dec_out.infer(&self.store, &h).row(0).to_vec()
     }
 

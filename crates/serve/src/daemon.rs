@@ -137,7 +137,8 @@ struct SharedState {
     pipeline_cfg: PipelineConfig,
     /// The currently published bundle.
     bundle: Mutex<Arc<ServeBundle>>,
-    /// Bundle generation; bumps on every accepted reload.
+    /// Bundle generation; bumps on every accepted reload, while the
+    /// `bundle` lock is held.
     generation: AtomicU64,
     /// The counters connection threads write.
     metrics: ServeMetrics,
@@ -369,8 +370,16 @@ fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSe
             Request::Reload { dir } => {
                 match ServeBundle::load(&shared.pipeline_cfg, Path::new(&dir)) {
                     Ok(bundle) => {
-                        *shared.bundle.lock().unwrap() = Arc::new(bundle);
-                        let gen = shared.generation.fetch_add(1, Ordering::AcqRel) + 1;
+                        // Published under the bundle lock, with the
+                        // generation, so a shard start reads a matching pair.
+                        let gen = {
+                            let mut published = shared
+                                .bundle
+                                .lock()
+                                .expect("no thread panics holding the bundle");
+                            *published = Arc::new(bundle);
+                            shared.generation.fetch_add(1, Ordering::AcqRel) + 1
+                        };
                         ServeMetrics::bump(&shared.metrics.reloads_ok);
                         sink.send(&Response::ReloadOk { generation: gen });
                     }
@@ -621,8 +630,15 @@ impl<'a> ShardIo<'a> {
         shared: &'a SharedState,
         recovered: Option<RecoveredShard>,
     ) -> (Self, ShardCore) {
-        let bundle = shared.bundle.lock().unwrap().clone();
-        let generation = shared.generation.load(Ordering::Acquire);
+        // A reload bumps the generation under this lock, so the pair
+        // matches: a start never serves an old bundle under a new number.
+        let (bundle, generation) = {
+            let published = shared
+                .bundle
+                .lock()
+                .expect("no thread panics holding the bundle");
+            (published.clone(), shared.generation.load(Ordering::Acquire))
+        };
         let persist = shared.cfg.state_dir.as_deref().and_then(|dir| {
             match ShardPersist::create(dir, index) {
                 Ok(p) => Some(p),

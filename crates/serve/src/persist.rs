@@ -18,6 +18,17 @@
 //!   crash-between-rename-and-journal-reset window is safe: replaying ops
 //!   already folded into the checkpoint changes nothing.
 //!
+//! Durability policy: a checkpoint survives power loss (the segment is
+//! synced before its rename, and the directory after it and before the
+//! journal reset). The journal does not: [`ShardPersist::flush_wal`] hands
+//! each batch's records to the OS before that batch's replies go out but
+//! never calls `sync_all`, since a sync per batch would put a disk flush
+//! on the decision path. A killed process loses nothing the OS accepted;
+//! a power loss can lose the journal records since the last checkpoint,
+//! so a stream admitted after it recovers as unknown (a fresh cursor on
+//! its next request) and one evicted after it comes back at its
+//! checkpointed cursor.
+//!
 //! Recovery is total — it never panics and never errors. A torn tail
 //! (frame length field short, wrong, or payload cut off) ends the scan:
 //! everything before it is recovered, everything after is counted lost. A
@@ -267,9 +278,12 @@ impl ShardPersist {
         Ok(())
     }
 
-    /// Writes a checkpoint segment atomically (tmp + fsync + rename), then
-    /// resets the journal — a crash between the rename and the reset only
-    /// leaves ops the idempotent replay already tolerates.
+    /// Writes a checkpoint segment atomically (tmp + fsync + rename +
+    /// directory fsync), then resets the journal — a crash between the
+    /// rename and the reset only leaves ops the idempotent replay already
+    /// tolerates. The directory is synced before the reset, so a power
+    /// loss cannot keep the truncated journal and lose the new segment's
+    /// name.
     pub fn write_checkpoint(
         &mut self,
         tick: u64,
@@ -285,6 +299,7 @@ impl ShardPersist {
             tmp.sync_all()?;
         }
         fs::rename(&tmp_path, &final_path)?;
+        File::open(&self.dir)?.sync_all()?;
         self.pending.clear();
         self.wal = None;
         let mut wal = File::create(wal_path(&self.dir, self.shard))?;

@@ -2,7 +2,8 @@
 # Tier-1 verification, end-to-end smoke gates, and a coarse perf gate.
 #
 # 1. `cargo build --release && cargo test -q` — the ROADMAP's tier-1 gate,
-#    covering every default workspace member — then
+#    covering every default workspace member — then the ignored sweep of
+#    the exact tanh kernel over all 2^32 f32 patterns, in release, then
 #    `cargo check --workspace --all-targets`, so the figure/ablation
 #    harnesses and micro benches, which tier-1 never builds, still compile
 #    (with `unexpected_cfgs` denied workspace-wide, a stale feature cfg
@@ -63,6 +64,11 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+echo "== exact tanh: every f32 pattern against libm, in release"
+# The exact kernel (lahd-nn's activations module) must return f32::tanh's
+# bits on all 2^32 inputs; tier-1 sweeps 2^24 spread patterns in debug.
+cargo test --release -q -p lahd-nn --lib -- --ignored tanh_exact_matches_libm_on_every_pattern
 
 echo "== all-targets gate: cargo check --workspace --all-targets"
 # The bench targets (test = false) are not built by tier-1; a library API
